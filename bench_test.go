@@ -531,6 +531,30 @@ func BenchmarkEngineGrep(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineSort runs the real distributed Sort (S/I ≈ 1) over 512 KB
+// of Zipf text, configured as in perfbench's engine-mix: 256 KB blocks on 8
+// servers, 2 reducers, 2 map and reduce slots, and a 16k-record sort buffer
+// so the spill-and-merge path runs.
+func BenchmarkEngineSort(b *testing.B) {
+	data := corpusBytes(b, 512*units.KB)
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store, err := engine.NewMemOFS(8, 256*units.KB)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := store.Create("in", data); err != nil {
+			b.Fatal(err)
+		}
+		cfg := engine.NewSort(store, "in", "out", 2, 2, 2)
+		cfg.SortBufferRecords = 1 << 14
+		if _, err := engine.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineDFSIOWrite runs the real write test: 16 files × 64 KB.
 func BenchmarkEngineDFSIOWrite(b *testing.B) {
 	b.SetBytes(int64(16 * 64 * units.KB))

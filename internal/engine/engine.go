@@ -2,9 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,6 +21,9 @@ type Mapper interface {
 
 // Reducer folds all values of one key into output pairs. A Reducer may also
 // serve as the combiner, Hadoop-style, when its operation is associative.
+// Keys arrive in ascending order, and each key's values arrive in
+// ascending order too; the values slice is reused by the engine and is
+// valid only for the duration of the call.
 type Reducer interface {
 	Reduce(key string, values []string, emit func(key, value string)) error
 }
@@ -29,10 +32,19 @@ type Reducer interface {
 type Partitioner func(key string, n int) int
 
 // HashPartitioner is Hadoop's default: hash the key modulo the partitions.
+// The hash is 32-bit FNV-1a (hash/fnv's New32a), computed inline so that
+// partitioning a record allocates nothing.
 func HashPartitioner(key string, n int) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
+	const (
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= prime32
+	}
+	return int(h % uint32(n))
 }
 
 // Config describes one engine job.
@@ -44,7 +56,8 @@ type Config struct {
 	// Input is the dataset name to read.
 	Input string
 	// Output is the dataset name to create with the reduce output
-	// ("key\tvalue" lines, sorted by key). Empty discards the output.
+	// ("key\tvalue" lines, sorted by key; records with equal keys are
+	// ordered by value). Empty discards the output.
 	Output string
 	// Mapper and Reducer implement the application.
 	Mapper  Mapper
@@ -113,9 +126,6 @@ func (cfg *Config) validate() error {
 	return nil
 }
 
-// kv is one intermediate pair.
-type kv struct{ k, v string }
-
 // errOnce records the first error reported by any worker.
 type errOnce struct {
 	mu  sync.Mutex
@@ -137,8 +147,9 @@ func (e *errOnce) get() error {
 }
 
 // Run executes the job: line-aligned splits per block, a map worker pool of
-// MapSlots, per-task combining, hash partitioning into Reducers partitions,
-// sort-merge, and a reduce worker pool of ReduceSlots.
+// MapSlots, per-task sorting and combining, hash partitioning into Reducers
+// sorted runs per task, and a reduce worker pool of ReduceSlots that merges
+// each partition's runs.
 func Run(cfg Config) (Counters, error) {
 	if err := cfg.validate(); err != nil {
 		return Counters{}, err
@@ -194,14 +205,16 @@ func Run(cfg Config) (Counters, error) {
 	ctr.Spills = spills
 	ctr.MapWall = time.Since(mapStart) //simlint:allow walltime Counters report the real engine's measured wall time, not sim time
 
-	// ---- Shuffle: regroup per reduce partition ----
+	// ---- Shuffle: hand each reducer its sorted task runs ----
 	shuffleStart := time.Now() //simlint:allow walltime Counters report the real engine's measured wall time, not sim time
-	byReducer := make([][]kv, cfg.Reducers)
+	byReducer := make([][][]kv, cfg.Reducers)
 	var shuffleBytes int64
 	for _, taskOut := range partitions {
-		for r, pairs := range taskOut {
-			byReducer[r] = append(byReducer[r], pairs...)
-			for _, p := range pairs {
+		for r, run := range taskOut {
+			if len(run) > 0 {
+				byReducer[r] = append(byReducer[r], run)
+			}
+			for _, p := range run {
 				shuffleBytes += int64(len(p.k) + len(p.v))
 			}
 		}
@@ -237,22 +250,24 @@ func Run(cfg Config) (Counters, error) {
 	ctr.OutputRecords = outRecords
 	ctr.ReduceWall = time.Since(reduceStart) //simlint:allow walltime Counters report the real engine's measured wall time, not sim time
 
-	// ---- Output ----
-	var buf bytes.Buffer
-	all := make([]kv, 0, outRecords)
+	// ---- Output: merge the sorted reducer outputs ----
+	size := 0
 	for _, out := range results {
-		all = append(all, out...)
+		for _, p := range out {
+			size += len(p.k) + len(p.v) + 2
+		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].k < all[j].k })
-	for _, p := range all {
-		buf.WriteString(p.k)
-		buf.WriteByte('\t')
-		buf.WriteString(p.v)
-		buf.WriteByte('\n')
-	}
-	ctr.OutputBytes = units.Bytes(buf.Len())
+	ctr.OutputBytes = units.Bytes(size)
 	if cfg.Output != "" {
-		if err := cfg.Store.Create(cfg.Output, buf.Bytes()); err != nil {
+		buf := make([]byte, 0, size)
+		m := newMerger(results)
+		for p, ok := m.next(); ok; p, ok = m.next() {
+			buf = append(buf, p.k...)
+			buf = append(buf, '\t')
+			buf = append(buf, p.v...)
+			buf = append(buf, '\n')
+		}
+		if err := cfg.Store.Create(cfg.Output, buf); err != nil {
 			return Counters{}, err
 		}
 	}
@@ -261,28 +276,20 @@ func Run(cfg Config) (Counters, error) {
 
 // runMapTask processes the line-aligned split of one block: like Hadoop's
 // TextInputFormat, a task owns every line that *starts* within its block,
-// reading past the block end to finish the last line.
+// reading past the block end to finish the last line. It returns the
+// task's output as one sorted run per reduce partition.
 func runMapTask(cfg Config, ds Dataset, task int, part Partitioner) (out [][]kv, nIn, nOut, nSpill int64, err error) {
 	split, err := readSplit(ds, task)
 	if err != nil {
 		return nil, 0, 0, 0, fmt.Errorf("engine: job %s task %d: %w", cfg.Name, task, err)
 	}
-	var local []kv
-	var emit func(k, v string)
+	sb := newSpillBuffer(cfg.SortBufferRecords, cfg.Combiner)
 	var emitErr error
-	var sb *spillBuffer
-	if cfg.SortBufferRecords > 0 {
-		// Bounded map-side buffer: sort + combine + spill segments.
-		sb = newSpillBuffer(cfg.SortBufferRecords, cfg.Combiner)
-		emit = func(k, v string) {
-			nOut++
-			if emitErr == nil {
-				emitErr = sb.add(kv{k, v})
-			}
+	emit := func(k, v string) {
+		nOut++
+		if emitErr == nil {
+			emitErr = sb.add(kv{k, v})
 		}
-	} else {
-		local = make([]kv, 0, 1024)
-		emit = func(k, v string) { local = append(local, kv{k, v}) }
 	}
 	for len(split) > 0 {
 		nl := bytes.IndexByte(split, '\n')
@@ -303,30 +310,14 @@ func runMapTask(cfg Config, ds Dataset, task int, part Partitioner) (out [][]kv,
 			return nil, 0, 0, 0, fmt.Errorf("engine: job %s task %d spill: %w", cfg.Name, task, emitErr)
 		}
 	}
-	if sb != nil {
-		local, err = sb.drain()
-		if err != nil {
-			return nil, 0, 0, 0, fmt.Errorf("engine: job %s task %d merge: %w", cfg.Name, task, err)
-		}
-		nSpill = int64(sb.spills)
-	} else {
-		nOut = int64(len(local))
-		if cfg.Combiner != nil {
-			local, err = combine(cfg.Combiner, local)
-			if err != nil {
-				return nil, 0, 0, 0, fmt.Errorf("engine: job %s task %d combiner: %w", cfg.Name, task, err)
-			}
-		}
+	sorted, err := sb.drain()
+	if err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("engine: job %s task %d merge: %w", cfg.Name, task, err)
 	}
-	out = make([][]kv, cfg.Reducers)
-	for _, p := range local {
-		r := part(p.k, cfg.Reducers)
-		if r < 0 || r >= cfg.Reducers {
-			return nil, 0, 0, 0, fmt.Errorf("engine: job %s: partitioner returned %d of %d", cfg.Name, r, cfg.Reducers)
-		}
-		out[r] = append(out[r], p)
+	if out, err = partitionRuns(sorted, part, cfg.Reducers); err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("engine: job %s: %w", cfg.Name, err)
 	}
-	return out, nIn, nOut, nSpill, nil
+	return out, nIn, nOut, int64(sb.spills), nil
 }
 
 // readSplit returns the bytes of the task's line-aligned split.
@@ -366,19 +357,25 @@ func readSplit(ds Dataset, task int) ([]byte, error) {
 }
 
 // nextLineStart returns the offset just past the first newline at or after
-// off (or the dataset end).
+// off (or the dataset end). Only io.EOF ends the data early; any other read
+// error is returned.
 func nextLineStart(ds Dataset, off int64) (int64, error) {
 	size := int64(ds.Size())
 	buf := make([]byte, 4096)
 	for off < size {
 		n, err := ds.ReadAt(buf, off)
-		if n == 0 && err != nil {
-			return size, nil
-		}
 		if i := bytes.IndexByte(buf[:n], '\n'); i >= 0 {
 			return off + int64(i) + 1, nil
 		}
 		off += int64(n)
+		switch {
+		case errors.Is(err, io.EOF):
+			return size, nil
+		case err != nil:
+			return 0, err
+		case n == 0:
+			return 0, io.ErrNoProgress
+		}
 	}
 	return size, nil
 }
@@ -398,56 +395,11 @@ func readFull(ds Dataset, p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// combine groups a task's local pairs by key and runs the combiner.
-func combine(c Reducer, pairs []kv) ([]kv, error) {
-	grouped := groupByKey(pairs)
-	out := make([]kv, 0, len(grouped))
-	emit := func(k, v string) { out = append(out, kv{k, v}) }
-	for _, g := range grouped {
-		if err := c.Reduce(g.key, g.values, emit); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-type group struct {
-	key    string
-	values []string
-}
-
-// groupByKey sorts pairs and groups values per key (the sort-merge step).
-func groupByKey(pairs []kv) []group {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].k != pairs[j].k {
-			return pairs[i].k < pairs[j].k
-		}
-		return pairs[i].v < pairs[j].v
-	})
-	var out []group
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j].k == pairs[i].k {
-			j++
-		}
-		vals := make([]string, 0, j-i)
-		for _, p := range pairs[i:j] {
-			vals = append(vals, p.v)
-		}
-		out = append(out, group{key: pairs[i].k, values: vals})
-		i = j
-	}
-	return out
-}
-
-func runReduceTask(cfg Config, pairs []kv) ([]kv, error) {
-	grouped := groupByKey(pairs)
-	out := make([]kv, 0, len(grouped))
-	emit := func(k, v string) { out = append(out, kv{k, v}) }
-	for _, g := range grouped {
-		if err := cfg.Reducer.Reduce(g.key, g.values, emit); err != nil {
-			return nil, fmt.Errorf("engine: job %s reduce(%q): %w", cfg.Name, g.key, err)
-		}
+// runReduceTask merges one partition's sorted task runs and reduces them.
+func runReduceTask(cfg Config, runs [][]kv) ([]kv, error) {
+	out, err := reduceRuns(runs, cfg.Reducer)
+	if err != nil {
+		return nil, fmt.Errorf("engine: job %s reduce: %w", cfg.Name, err)
 	}
 	return out, nil
 }

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"strconv"
 	"strings"
 	"sync"
@@ -308,6 +310,65 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(good); err == nil {
 		t.Error("missing dataset accepted")
 	}
+}
+
+// HashPartitioner is bit-identical to hash/fnv's 32-bit FNV-1a modulo n, so
+// partition assignment, and with it every job output, is unchanged by the
+// inline hash.
+func TestHashPartitionerMatchesFNV(t *testing.T) {
+	f := func(key string, nRaw uint16) bool {
+		n := int(nRaw) + 1
+		h := fnv.New32a()
+		_, _ = h.Write([]byte(key))
+		return HashPartitioner(key, n) == int(h.Sum32()%uint32(n))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A read error while aligning a split to line boundaries fails the job,
+// naming the job and task, instead of being taken for the end of the data.
+func TestReadErrorFailsJob(t *testing.T) {
+	text, err := corpus.Generate(corpus.DefaultConfig(), 16*units.KB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := newOFS(t)
+	if err := store.Create("in", text); err != nil {
+		t.Fatal(err)
+	}
+	block := int64(store.mustOpen(t, "in").BlockSize())
+	flaky := flakyStore{store, block - 1}
+	_, err = Run(NewWordcount(flaky, "in", "", 2, 1, 1))
+	if !errors.Is(err, errFlakyRead) || !strings.Contains(err.Error(), "job wordcount task 0") {
+		t.Errorf("Run error = %v, want the flaky read of task 0", err)
+	}
+}
+
+var errFlakyRead = errors.New("flaky read")
+
+// flakyStore serves datasets whose reads at or past offset from fail.
+type flakyStore struct {
+	*MemOFS
+	from int64
+}
+
+func (s flakyStore) Open(name string) (Dataset, error) {
+	d, err := s.MemOFS.Open(name)
+	return flakyDataset{d, s.from}, err
+}
+
+type flakyDataset struct {
+	Dataset
+	from int64
+}
+
+func (d flakyDataset) ReadAt(p []byte, off int64) (int, error) {
+	if off >= d.from {
+		return 0, errFlakyRead
+	}
+	return d.Dataset.ReadAt(p, off)
 }
 
 func TestBadPartitioner(t *testing.T) {

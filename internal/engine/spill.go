@@ -1,8 +1,9 @@
 package engine
 
 import (
-	"container/heap"
-	"sort"
+	"fmt"
+	"slices"
+	"strings"
 )
 
 // Map-side spill: Hadoop buffers map output in a bounded in-memory buffer
@@ -11,153 +12,296 @@ import (
 // that path when Config.SortBufferRecords is set, so memory stays bounded
 // for arbitrarily large map outputs — and so the spill/merge machinery the
 // paper's heap-size tuning (§II-D) is about actually exists in the
-// functional substrate.
+// functional substrate. An unbounded buffer is the same path with a single
+// spill at task end.
+//
+// Each record is sorted once, in its spill; every later step — the
+// task-end merge of segments, the reduce-side merge of task runs and the
+// merge of reducer outputs — merges sorted runs in cmpKV order. Output
+// emitted by a combiner or reducer is checked and sorted only when it is
+// out of order.
 
-// segment is one sorted (and possibly combined) run of pairs.
-type segment []kv
+// kv is one intermediate pair.
+type kv struct{ k, v string }
 
-// spillBuffer accumulates map output under a record bound.
+// cmpKV is the engine's one sort order: by key, then by value.
+func cmpKV(a, b kv) int {
+	if c := strings.Compare(a.k, b.k); c != 0 {
+		return c
+	}
+	return strings.Compare(a.v, b.v)
+}
+
+// ensureSorted sorts a run emitted by user code unless it already is in
+// cmpKV order — the fallback for combiners and reducers that emit keys
+// other than their group key.
+func ensureSorted(run []kv) {
+	if !slices.IsSortedFunc(run, cmpKV) {
+		slices.SortFunc(run, cmpKV)
+	}
+}
+
+// keyGroup is one distinct key of a combining spill buffer; after the
+// counting pass in combineGroups, its values are byKey[lo:hi].
+type keyGroup struct {
+	key    string
+	lo, hi int32
+}
+
+// spillBuffer accumulates one map task's output under a record bound
+// (0 = unbounded).
 type spillBuffer struct {
 	bound    int
 	combiner Reducer
-	buf      []kv
-	segments []segment
+	n        int // records added since the last spill
+
+	// Without a combiner the buffer holds the raw pairs.
+	buf []kv
+	// With one it groups values per key in a reused hash index instead:
+	// gids[i] is the group of the i-th buffered value, and a spill sorts
+	// only the distinct keys and the values within each key.
+	index  map[string]int32
+	groups []keyGroup
+	gids   []int32
+	vals   []string
+	byKey  []string
+
+	segments [][]kv
 	spills   int
 }
 
 func newSpillBuffer(bound int, combiner Reducer) *spillBuffer {
-	return &spillBuffer{bound: bound, combiner: combiner}
+	s := &spillBuffer{bound: bound, combiner: combiner}
+	// Buffers start small and grow to the bound at most, so a task that
+	// emits little (Grep) allocates little.
+	size := 1024
+	if bound > 0 && bound < size {
+		size = bound
+	}
+	if combiner != nil {
+		s.index = make(map[string]int32)
+		s.gids = make([]int32, 0, size)
+		s.vals = make([]string, 0, size)
+	} else {
+		s.buf = make([]kv, 0, size)
+	}
+	return s
 }
 
-// add appends one pair, spilling when the buffer is full.
+// add buffers one pair, spilling when the buffer is full.
 func (s *spillBuffer) add(p kv) error {
-	s.buf = append(s.buf, p)
-	if s.bound > 0 && len(s.buf) >= s.bound {
+	if s.combiner == nil {
+		s.buf = append(s.buf, p)
+	} else {
+		g, ok := s.index[p.k]
+		if !ok {
+			g = int32(len(s.groups))
+			s.index[p.k] = g
+			s.groups = append(s.groups, keyGroup{key: p.k})
+		}
+		s.groups[g].hi++ // counts values until spill turns counts into bounds
+		s.gids = append(s.gids, g)
+		s.vals = append(s.vals, p.v)
+	}
+	s.n++
+	if s.bound > 0 && s.n >= s.bound {
 		return s.spill()
 	}
 	return nil
 }
 
-// spill sorts (and combines) the buffer into a new segment.
+// spill sorts (and combines) the buffered records into a new segment.
+// Only a bounded buffer counts its spills, as Hadoop's counter does.
 func (s *spillBuffer) spill() error {
-	if len(s.buf) == 0 {
+	if s.n == 0 {
 		return nil
 	}
-	seg, err := sortAndCombine(s.buf, s.combiner)
-	if err != nil {
-		return err
+	var seg []kv
+	if s.combiner == nil {
+		seg = slices.Clone(s.buf)
+		slices.SortFunc(seg, cmpKV)
+		s.buf = s.buf[:0]
+	} else {
+		var err error
+		if seg, err = s.combineGroups(); err != nil {
+			return err
+		}
 	}
 	s.segments = append(s.segments, seg)
-	s.buf = s.buf[:0]
-	s.spills++
+	s.n = 0
+	if s.bound > 0 {
+		s.spills++
+	}
 	return nil
 }
 
-// drain finishes the task: final spill, then a k-way merge of all segments
-// with a last combine across segment boundaries.
+// combineGroups counting-sorts the buffered values by group, sorts the
+// distinct keys and each key's values, runs the combiner per key and
+// resets the index for the next spill.
+func (s *spillBuffer) combineGroups() ([]kv, error) {
+	var off int32
+	for i := range s.groups {
+		g := &s.groups[i]
+		g.lo, g.hi, off = off, off, off+g.hi
+	}
+	s.byKey = slices.Grow(s.byKey[:0], len(s.vals))[:len(s.vals)]
+	for i, g := range s.gids {
+		s.byKey[s.groups[g].hi] = s.vals[i]
+		s.groups[g].hi++
+	}
+	slices.SortFunc(s.groups, func(a, b keyGroup) int { return strings.Compare(a.key, b.key) })
+	seg := make([]kv, 0, len(s.groups))
+	emit := func(k, v string) { seg = append(seg, kv{k, v}) }
+	for _, g := range s.groups {
+		vals := s.byKey[g.lo:g.hi:g.hi]
+		slices.Sort(vals)
+		if err := s.combiner.Reduce(g.key, vals, emit); err != nil {
+			return nil, err
+		}
+	}
+	ensureSorted(seg)
+	clear(s.index)
+	s.groups, s.gids, s.vals = s.groups[:0], s.gids[:0], s.vals[:0]
+	return seg, nil
+}
+
+// drain finishes the task: a final spill, then a k-way merge of all
+// segments with a last combine across segment boundaries. The result is
+// sorted.
 func (s *spillBuffer) drain() ([]kv, error) {
 	if err := s.spill(); err != nil {
 		return nil, err
 	}
-	switch len(s.segments) {
-	case 0:
+	switch {
+	case len(s.segments) == 0:
 		return nil, nil
-	case 1:
+	case len(s.segments) == 1:
 		return s.segments[0], nil
+	case s.combiner == nil:
+		return mergeRuns(s.segments), nil
 	}
-	merged := mergeSegments(s.segments)
-	if s.combiner == nil {
-		return merged, nil
-	}
-	// Equal keys from different segments sit adjacent after the merge;
-	// one more combine collapses them.
-	return combineSorted(merged, s.combiner)
+	// Equal keys from different segments meet in the merge; one more
+	// combine collapses them.
+	return reduceRuns(s.segments, s.combiner)
 }
 
-// sortAndCombine sorts pairs by key and applies the combiner per key group.
-func sortAndCombine(pairs []kv, combiner Reducer) (segment, error) {
-	out := make(segment, len(pairs))
-	copy(out, pairs)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].k != out[j].k {
-			return out[i].k < out[j].k
+// merger streams the k-way merge of sorted runs in cmpKV order: a binary
+// min-heap of the runs' unconsumed tails, ordered by their heads.
+type merger [][]kv
+
+func newMerger(runs [][]kv) merger {
+	m := make(merger, 0, len(runs))
+	for _, r := range runs {
+		if len(r) > 0 {
+			m = append(m, r)
 		}
-		return out[i].v < out[j].v
-	})
-	if combiner == nil {
-		return out, nil
 	}
-	return combineSorted(out, combiner)
+	for i := len(m)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
+	return m
 }
 
-// combineSorted runs the combiner over key groups of an already sorted run.
-func combineSorted(sorted []kv, combiner Reducer) (segment, error) {
-	out := make(segment, 0, len(sorted))
+// next pops the smallest head pair; ok is false once every run is drained.
+func (m *merger) next() (p kv, ok bool) {
+	h := *m
+	if len(h) == 0 {
+		return kv{}, false
+	}
+	p = h[0][0]
+	if h[0] = h[0][1:]; len(h[0]) == 0 {
+		last := len(h) - 1
+		h[0], h[last] = h[last], nil
+		h = h[:last]
+		*m = h
+	}
+	h.down(0)
+	return p, true
+}
+
+func (m merger) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(m) {
+			return
+		}
+		if r := c + 1; r < len(m) && cmpKV(m[r][0], m[c][0]) < 0 {
+			c = r
+		}
+		if cmpKV(m[c][0], m[i][0]) >= 0 {
+			return
+		}
+		m[i], m[c] = m[c], m[i]
+		i = c
+	}
+}
+
+// mergeRuns merges sorted runs into one sorted run.
+func mergeRuns(runs [][]kv) []kv {
+	total := 0
+	for _, r := range runs {
+		total += len(r)
+	}
+	out := make([]kv, 0, total)
+	m := newMerger(runs)
+	for p, ok := m.next(); ok; p, ok = m.next() {
+		out = append(out, p)
+	}
+	return out
+}
+
+// reduceRuns k-way merges sorted runs, streams each key group to r with
+// one reused values slice, and returns r's output sorted.
+func reduceRuns(runs [][]kv, r Reducer) ([]kv, error) {
+	total := 0
+	for _, run := range runs {
+		total += len(run)
+	}
+	out := make([]kv, 0, total) // exact for an identity reducer
 	emit := func(k, v string) { out = append(out, kv{k, v}) }
-	for i := 0; i < len(sorted); {
-		j := i
-		for j < len(sorted) && sorted[j].k == sorted[i].k {
-			j++
-		}
-		vals := make([]string, 0, j-i)
-		for _, p := range sorted[i:j] {
+	var vals []string
+	m := newMerger(runs)
+	p, ok := m.next()
+	for ok {
+		key := p.k
+		vals = vals[:0]
+		for ok && p.k == key {
 			vals = append(vals, p.v)
+			p, ok = m.next()
 		}
-		if err := combiner.Reduce(sorted[i].k, vals, emit); err != nil {
-			return nil, err
+		if err := r.Reduce(key, vals, emit); err != nil {
+			return nil, fmt.Errorf("key %q: %w", key, err)
 		}
-		i = j
 	}
+	ensureSorted(out)
 	return out, nil
 }
 
-// mergeHeap is the k-way merge frontier: one cursor per segment.
-type mergeHeap struct {
-	segs []segment
-	pos  []int
-	idx  []int // heap of segment indices
-}
-
-func (h *mergeHeap) Len() int { return len(h.idx) }
-func (h *mergeHeap) Less(a, b int) bool {
-	i, j := h.idx[a], h.idx[b]
-	pi, pj := h.segs[i][h.pos[i]], h.segs[j][h.pos[j]]
-	if pi.k != pj.k {
-		return pi.k < pj.k
-	}
-	return pi.v < pj.v
-}
-func (h *mergeHeap) Swap(a, b int) { h.idx[a], h.idx[b] = h.idx[b], h.idx[a] }
-func (h *mergeHeap) Push(x any)    { h.idx = append(h.idx, x.(int)) }
-func (h *mergeHeap) Pop() any {
-	old := h.idx
-	n := len(old)
-	v := old[n-1]
-	h.idx = old[:n-1]
-	return v
-}
-
-// mergeSegments merges sorted segments into one sorted run.
-func mergeSegments(segs []segment) []kv {
-	total := 0
-	h := &mergeHeap{segs: segs, pos: make([]int, len(segs))}
-	for i, s := range segs {
-		total += len(s)
-		if len(s) > 0 {
-			h.idx = append(h.idx, i)
+// partitionRuns splits a sorted run into exactly-sized per-reducer runs;
+// each stays sorted, being a subsequence of a sorted run. The partitioner
+// is a function of the key, so it runs once per distinct key.
+func partitionRuns(sorted []kv, part Partitioner, n int) ([][]kv, error) {
+	runs := make([][]kv, n)
+	ids := make([]int32, len(sorted))
+	counts := make([]int, n)
+	r := 0
+	for i, p := range sorted {
+		if i == 0 || p.k != sorted[i-1].k {
+			if r = part(p.k, n); r < 0 || r >= n {
+				return nil, fmt.Errorf("partitioner returned %d of %d", r, n)
+			}
 		}
+		ids[i] = int32(r)
+		counts[r]++
 	}
-	heap.Init(h)
-	out := make([]kv, 0, total)
-	for h.Len() > 0 {
-		i := h.idx[0]
-		out = append(out, h.segs[i][h.pos[i]])
-		h.pos[i]++
-		if h.pos[i] < len(h.segs[i]) {
-			heap.Fix(h, 0)
-		} else {
-			heap.Pop(h)
-		}
+	backing := make([]kv, len(sorted))
+	off := 0
+	for r, c := range counts {
+		runs[r] = backing[off : off : off+c]
+		off += c
 	}
-	return out
+	for i, p := range sorted {
+		runs[ids[i]] = append(runs[ids[i]], p)
+	}
+	return runs, nil
 }
