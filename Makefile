@@ -19,7 +19,7 @@ NS_TOL ?= 300
 BENCH_GATE = BenchmarkFig10 BenchmarkTraceReplay BenchmarkResilienceReport \
 	BenchmarkReplayReuse/fresh BenchmarkReplayReuse/pooled BenchmarkEngineRaw
 
-.PHONY: all build test race vet lint resilience chaos bench-smoke bench-json bench-check golden check
+.PHONY: all build test race vet lint resilience chaos bench-smoke bench-json bench-check golden loc check
 
 all: check
 
@@ -109,5 +109,14 @@ chaos:
 # Refresh the golden figure snapshots after an intentional model change.
 golden:
 	$(GO) test ./internal/figures -run TestGolden -update
+
+# Non-test Go lines per package (every line of the package's build files,
+# comments and blanks included) and their total: the figure behind the line
+# deltas recorded in CHANGES.md.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | \
+	while read -r pkg dir files; do \
+		printf '%6d  %s\n' "$$(cd "$$dir" && cat $$files </dev/null | wc -l)" "$$pkg"; \
+	done | awk '{ print; total += $$1 } END { printf "%6d  total\n", total }'
 
 check: build vet lint test race resilience chaos bench-smoke

@@ -323,13 +323,13 @@ func BenchmarkResilienceReport(b *testing.B) {
 		b.Fatal(err)
 	}
 	inj := core.Inject{FailureRate: 0.005, StragglerFrac: 0.1, Speculate: true, Seed: 7}
-	if _, err := figures.RunResilienceJobs(cal(), jobs, faults.Demo(), inj); err != nil {
+	if _, err := figures.RunResilienceOpts(cal(), jobs, faults.Demo(), inj, obs.Set{}, nil, figures.ResilienceOpts{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := figures.RunResilienceJobs(cal(), jobs, faults.Demo(), inj)
+		r, err := figures.RunResilienceOpts(cal(), jobs, faults.Demo(), inj, obs.Set{}, nil, figures.ResilienceOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

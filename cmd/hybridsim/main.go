@@ -341,19 +341,13 @@ func runTrace(path string, jobs int, seed int64, balance, hist bool, sinks obsSi
 		isUp[j.ID] = true
 	}
 
-	// With observability requested the hybrid runs through the clean
-	// RunFaulted path — identical results to Run (pinned by test), plus the
-	// sinks. Without it, Run keeps the allocation-free fast path.
+	// The hybrid replays through its one driver; the sinks only observe, so
+	// an observed run reports what a bare run reports.
 	o := sinks.set()
 	collectHy := func() map[string]float64 {
-		var results []core.JobResult
-		if o.Enabled() {
-			var err error
-			if results, err = hybrid.RunFaulted(trace, core.FaultRun{Obs: o}); err != nil {
-				fatal(err)
-			}
-		} else {
-			results = hybrid.Run(trace)
+		results, err := hybrid.RunFaulted(trace, core.FaultRun{Obs: o})
+		if err != nil {
+			fatal(err)
 		}
 		m := make(map[string]float64, len(trace))
 		for _, r := range results {

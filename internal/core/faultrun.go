@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"hybridmr/internal/faults"
@@ -168,10 +170,12 @@ func other(t Target) Target {
 	return ScaleUp
 }
 
-// RunFaulted executes the workload on the hybrid under a fault schedule.
-// With a nil/empty schedule, no injection and FailureAware off it reproduces
-// Run exactly. The returned error reports an unsurvivable or incoherent
-// schedule (or bad injection bounds), before any simulation runs.
+// RunFaulted is the hybrid's replay driver. Both halves share one simulated
+// clock, each with its own slot pools, and every job is routed at its
+// arrival instant, so the load balancer and the failure-aware scheduler see
+// live state. The zero FaultRun replays the healthy hybrid (Run). The
+// returned error reports an unsurvivable or incoherent schedule (or bad
+// injection bounds), before any simulation runs.
 func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, error) {
 	if h.Sched == nil {
 		return nil, fmt.Errorf("core: hybrid has no scheduler")
@@ -227,10 +231,14 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 		return nil, err
 	}
 
-	// state tracks one workload job across its (possibly retried)
-	// submissions; the latest routing decision wins.
+	// The hooks below capture only the options they read: FaultRun is over
+	// 128 bytes, so capturing opt itself would move it to the heap.
+	failureAware, blacklist := opt.FailureAware, opt.Blacklist
+	audit, trace, inv := opt.Obs.Audit, opt.Obs.Trace, opt.Invariants
+
+	// state tracks one workload job (jobs[idx]) across its (possibly
+	// retried) submissions; the latest routing decision wins.
 	type state struct {
-		job      workload.Job
 		target   Target // Algorithm 1's static choice
 		dest     Target // where the job actually went
 		rerouted bool
@@ -240,22 +248,21 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 	// The index rides the submitted job's Tag and comes back in its Result,
 	// so tracking 6000 jobs costs one allocation and no hashing.
 	backing := make([]state, len(jobs))
-	for i := range jobs {
-		backing[i].job = jobs[i]
-	}
-	results := make([]JobResult, 0, len(jobs))
-	var bench [2]benchState // blacklist accounts, indexed by Target
+	// The hooks' mutable state shares one heap cell.
+	acc := struct {
+		results []JobResult
+		bench   [2]benchState // blacklist accounts, indexed by Target
+	}{results: make([]JobResult, 0, len(jobs))}
 
-	var submit func(idx int)
-	submit = func(idx int) {
+	submit := func(idx int) {
 		st := &backing[idx]
-		job := st.job
+		job := jobs[idx]
 		st.attempts++
 		target := h.Sched.Decide(job)
 		dest := target
 		rerouted := false
 		var probe healthProbe
-		if opt.FailureAware {
+		if failureAware {
 			d, pr := h.rerouteForHealth(job, target, upSim, outSim, runner, fp)
 			probe = pr
 			if d != target {
@@ -264,10 +271,10 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 		}
 		blacklisted := false
 		var benchUntil time.Duration
-		if opt.Blacklist {
+		if blacklist {
 			now := eng.Now()
-			if now < bench[dest].until && now >= bench[other(dest)].until {
-				benchUntil = bench[dest].until
+			if now < acc.bench[dest].until && now >= acc.bench[other(dest)].until {
+				benchUntil = acc.bench[dest].until
 				dest, blacklisted = other(dest), true
 			}
 		}
@@ -275,9 +282,9 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 			dest = h.Balance.Divert(dest, upSim, outSim)
 		}
 		st.target, st.dest, st.rerouted = target, dest, rerouted
-		if opt.Obs.Audit.Enabled() {
+		if audit.Enabled() {
 			cross := h.Sched.CrossPoints()
-			opt.Obs.Audit.Record(obs.Decision{
+			audit.Record(obs.Decision{
 				At:              eng.Now(),
 				Job:             job.ID,
 				App:             job.App.Name,
@@ -315,23 +322,23 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 	record := func(r mapreduce.Result, now time.Duration) {
 		idx := r.Job.Tag
 		st := &backing[idx]
-		if opt.Blacklist && r.Err != nil {
+		if blacklist && r.Err != nil {
 			// The half the job actually failed on takes the strike.
-			b := &bench[st.dest]
+			b := &acc.bench[st.dest]
 			b.strikes++
 			if b.strikes >= strikesCap {
 				b.bench(now, parole)
-				if opt.Invariants != nil && b.until-now > parole<<3 {
-					opt.Invariants.Violate("blacklist-parole", "%s benched until %v at %v: bench exceeds the 8x parole cap (%v)",
+				if inv != nil && b.until-now > parole<<3 {
+					inv.Violate("blacklist-parole", "%s benched until %v at %v: bench exceeds the 8x parole cap (%v)",
 						st.dest, b.until, now, parole<<3)
 				}
-				if opt.Obs.Trace.Enabled() {
-					opt.Obs.Trace.Instant("hybrid", "blacklist", "bench", now,
+				if trace.Enabled() {
+					trace.Instant("hybrid", "blacklist", "bench", now,
 						st.dest.String()+" benched until "+b.until.String())
 				}
 			}
 		}
-		if r.Err != nil && opt.FailureAware && st.attempts < maxAttempts {
+		if r.Err != nil && failureAware && st.attempts < maxAttempts {
 			// Exponential backoff in simulated time; the retry is
 			// re-routed at its new arrival instant, so it sees the
 			// cluster's health then.
@@ -341,9 +348,9 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 		}
 		// Time the job from its original arrival: queueing plus every
 		// retry round trip counts against it.
-		r.Submit = st.job.Submit
-		r.Exec = r.End - st.job.Submit
-		results = append(results, JobResult{
+		r.Submit = jobs[idx].Submit
+		r.Exec = r.End - r.Submit
+		acc.results = append(acc.results, JobResult{
 			Result:   r,
 			Target:   st.target,
 			Diverted: st.dest != st.target,
@@ -354,12 +361,13 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 	upSim.SetResultHook(record)
 	outSim.SetResultHook(record)
 
-	scheduleArrivals(eng, jobs, func(i int, _ workload.Job) { submit(i) })
+	scheduleArrivals(eng, jobs, submit)
 	eng.Run()
 	if opt.Stats != nil {
 		opt.Stats.Events = eng.Events()
 	}
-	if inv := opt.Invariants; inv != nil {
+	results := acc.results
+	if inv != nil {
 		upSim.CheckDrainedInvariants()
 		outSim.CheckDrainedInvariants()
 		if len(results) != len(jobs) {
@@ -373,12 +381,13 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 		}
 	}
 
-	sort.Slice(results, func(i, j int) bool {
-		a, b := results[i], results[j]
+	// A total order (job IDs are unique), so the hook order of the two
+	// halves does not matter.
+	slices.SortFunc(results, func(a, b JobResult) int {
 		if a.Submit != b.Submit {
-			return a.Submit < b.Submit
+			return cmp.Compare(a.Submit, b.Submit)
 		}
-		return a.Job.ID < b.Job.ID
+		return strings.Compare(a.Job.ID, b.Job.ID)
 	})
 	return results, nil
 }
@@ -444,32 +453,15 @@ func etaOn(sim *mapreduce.Simulator, job workload.Job, runner *sweep.Runner, fau
 	return time.Duration(float64(r.Exec) * load * sim.GraySlowdown()), true
 }
 
-// RunBaselineFaulted is RunBaseline under a fault timeline and injection:
-// the undivided baseline replays the given events (callers pass
-// Schedule.ForBaseline()). Failed jobs stay failed — the traditional
-// architectures have no second half to retry on.
-func RunBaselineFaulted(p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy, events []faults.Event, inj Inject) ([]mapreduce.Result, error) {
-	return RunBaselineFaultedStats(p, jobs, policy, events, inj, nil)
-}
-
-// RunBaselineFaultedStats is RunBaselineFaulted with kernel statistics: a
-// non-nil stats receives the replay's executed-event count.
-func RunBaselineFaultedStats(p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy, events []faults.Event, inj Inject, stats *ReplayStats) ([]mapreduce.Result, error) {
-	return RunBaselineGuarded(p, jobs, policy, events, inj, stats, sweep.Budget{})
-}
-
-// RunBaselineGuarded is RunBaselineFaultedStats under a watchdog budget: an
-// over-budget replay stops by panicking with a *simclock.BudgetError, which
-// callers convert into a typed per-point error via sweep.Protect. The zero
-// budget runs unguarded.
-func RunBaselineGuarded(p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy, events []faults.Event, inj Inject, stats *ReplayStats, budget sweep.Budget) ([]mapreduce.Result, error) {
-	return RunBaselineChecked(p, jobs, policy, events, inj, stats, budget, nil)
-}
-
-// RunBaselineChecked is RunBaselineGuarded with the invariant layer attached:
-// a non-nil checker observes the whole replay and the drain. The fifo_crash
-// golden test and the chaos engine's baseline rounds run through it; a nil
-// checker reproduces RunBaselineGuarded exactly.
+// RunBaselineChecked is the traditional architectures' replay driver: the
+// undivided baseline replays the given fault events (callers pass
+// Schedule.ForBaseline()) under the injection knobs. Failed jobs stay failed
+// — the traditional architectures have no second half to retry on. A
+// non-nil stats receives the replay's executed-event count. A nonzero
+// budget guards the kernel: an over-budget replay stops by panicking with a
+// *simclock.BudgetError, which callers convert into a typed per-point error
+// via sweep.Protect. A non-nil checker attaches the invariant layer to the
+// whole replay and the drain.
 func RunBaselineChecked(p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy, events []faults.Event, inj Inject, stats *ReplayStats, budget sweep.Budget, inv *mapreduce.InvariantChecker) ([]mapreduce.Result, error) {
 	rst := mapreduce.AcquireState()
 	defer mapreduce.ReleaseState(rst)

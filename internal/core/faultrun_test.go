@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -59,9 +60,11 @@ func meanExec(rs []JobResult) time.Duration {
 	return sum / time.Duration(n)
 }
 
-// RunFaulted with zero options reproduces Run exactly — the clean path is
-// untouched. FailureAware on a healthy cluster must change nothing either:
-// a healthy preferred half is never second-guessed.
+// On a healthy cluster every resilience option is inert: failure-aware
+// routing never second-guesses a healthy half, the blacklist never benches a
+// half no job failed on, no gray window triggers a clone, and the invariant
+// checker only observes. Each option set therefore reproduces the
+// zero-option run (Run) exactly.
 func TestRunFaultedCleanMatchesRun(t *testing.T) {
 	h := newHybridT(t)
 	cfg := workload.DefaultConfig()
@@ -73,29 +76,30 @@ func TestRunFaultedCleanMatchesRun(t *testing.T) {
 	}
 	want := h.Run(jobs)
 
-	for _, opt := range []FaultRun{
-		{},
-		{FailureAware: true, Runner: sweep.New(1)},
+	for _, tc := range []struct {
+		name    string
+		opt     FaultRun
+		checked bool // attach the invariant checker
+	}{
+		{"FailureAware", FaultRun{FailureAware: true, Runner: sweep.New(1)}, false},
+		{"Blacklist", FaultRun{Blacklist: true}, false},
+		{"CloneStragglers", FaultRun{CloneStragglers: true}, false},
+		{"Invariants", FaultRun{}, true},
+		{"all", FaultRun{FailureAware: true, Runner: sweep.New(1), Blacklist: true, CloneStragglers: true}, true},
 	} {
-		got, err := h.RunFaulted(jobs, opt)
+		inv := mapreduce.NewInvariantChecker()
+		if tc.checked {
+			tc.opt.Invariants = inv
+		}
+		got, err := h.RunFaulted(jobs, tc.opt)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("FailureAware=%v: %d results, want %d", opt.FailureAware, len(got), len(want))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: results diverge from the zero-option run", tc.name)
 		}
-		for i := range got {
-			g, w := got[i], want[i]
-			if g.Job.ID != w.Job.ID || g.Exec != w.Exec || g.End != w.End ||
-				g.Submit != w.Submit || g.Platform != w.Platform ||
-				g.Target != w.Target || g.Ran() != w.Ran() ||
-				(g.Err == nil) != (w.Err == nil) {
-				t.Fatalf("FailureAware=%v: job %s diverged: got %+v want %+v",
-					opt.FailureAware, w.Job.ID, g, w)
-			}
-			if g.Rerouted {
-				t.Errorf("job %s rerouted on a healthy cluster", g.Job.ID)
-			}
+		if err := inv.Err(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
 		}
 	}
 }
@@ -249,7 +253,7 @@ func TestInjectApplyUsesSimulatorErrors(t *testing.T) {
 	}
 }
 
-// RunBaselineFaulted replays the full event list on the undivided baseline
+// RunBaselineChecked replays the full event list on the undivided baseline
 // and slows it down relative to the clean baseline.
 func TestRunBaselineFaulted(t *testing.T) {
 	p, err := mapreduce.NewTHadoop(mapreduce.DefaultCalibration())
@@ -265,7 +269,7 @@ func TestRunBaselineFaulted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, err := RunBaselineFaulted(p, jobs, mapreduce.Fair, sched.ForBaseline(), Inject{})
+	faulted, err := RunBaselineChecked(p, jobs, mapreduce.Fair, sched.ForBaseline(), Inject{}, nil, sweep.Budget{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +285,7 @@ func TestRunBaselineFaulted(t *testing.T) {
 		t.Errorf("faulted baseline total %v not above clean %v", faultSum, cleanSum)
 	}
 
-	if _, err := RunBaselineFaulted(p, jobs, mapreduce.Fair, nil, Inject{FailureRate: -1}); err == nil {
+	if _, err := RunBaselineChecked(p, jobs, mapreduce.Fair, nil, Inject{FailureRate: -1}, nil, sweep.Budget{}, nil); err == nil {
 		t.Error("bad injection accepted")
 	}
 }

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"hybridmr/internal/mapreduce"
 	"hybridmr/internal/simclock"
+	"hybridmr/internal/sweep"
 	"hybridmr/internal/workload"
 )
 
@@ -54,14 +54,13 @@ type JobResult struct {
 	// Target is the cluster Algorithm 1 chose.
 	Target Target
 	// Diverted reports that the job ran on the opposite cluster from
-	// Target — because the load balancer overrode the choice, or (under
-	// RunFaulted) the failure-aware scheduler rerouted it.
+	// Target — because the load balancer overrode the choice, the
+	// failure-aware scheduler rerouted it, or the blacklist benched its half.
 	Diverted bool
 	// Rerouted reports that the failure-aware scheduler moved the job off
-	// its degraded preferred half (set by RunFaulted only).
+	// its degraded preferred half.
 	Rerouted bool
-	// Attempts counts the job's submissions including the first (set by
-	// RunFaulted only; Run leaves it 0).
+	// Attempts counts the job's submissions including the first.
 	Attempts int
 }
 
@@ -76,82 +75,27 @@ func (r JobResult) Ran() Target {
 	return ScaleUp
 }
 
-// Run executes the workload on the hybrid: both halves share one simulated
-// clock, each with its own slot pools, and every job is routed at its
-// arrival instant — so the load balancer (if any) sees live queue depths.
+// Run replays the workload on the healthy hybrid: RunFaulted with zero
+// options. Both halves share one simulated clock, each with its own slot
+// pools, and every job is routed at its arrival instant — so the load
+// balancer (if any) sees live queue depths. It panics if the hybrid has no
+// scheduler.
 func (h *Hybrid) Run(jobs []workload.Job) []JobResult {
-	if h.Sched == nil {
-		panic("core: hybrid has no scheduler")
+	rs, err := h.RunFaulted(jobs, FaultRun{})
+	if err != nil {
+		panic(err)
 	}
-	// Pooled replay state: the engine heap, both simulators and their job
-	// and attempt records are reused across replays (mapreduce.ReplayState).
-	rst := mapreduce.AcquireState()
-	defer mapreduce.ReleaseState(rst)
-	eng := rst.Engine()
-	upSim := rst.Simulator(h.Up)
-	outSim := rst.Simulator(h.Out)
-	upSim.SetPolicy(h.Policy)
-	outSim.SetPolicy(h.Policy)
-
-	type decision struct {
-		target   Target
-		diverted bool
-	}
-	// Indexed by arrival order and recovered from the result's Job.Tag —
-	// no per-job map, no per-result hashing.
-	decisions := make([]decision, len(jobs))
-	scheduleArrivals(eng, jobs, func(i int, job workload.Job) {
-		target := h.Sched.Decide(job)
-		dest := target
-		diverted := false
-		if h.Balance != nil {
-			if d := h.Balance.Divert(target, upSim, outSim); d != target {
-				dest, diverted = d, true
-			}
-		}
-		// Target keeps the scheduler's choice; dest is where the
-		// job actually runs.
-		decisions[i] = decision{target: target, diverted: diverted}
-		mj := job.MapReduceJob()
-		mj.Tag = i
-		if dest == ScaleUp {
-			upSim.SubmitNow(mj)
-		} else {
-			outSim.SubmitNow(mj)
-		}
-	})
-	eng.Run()
-
-	// Copy out of the simulators' internal buffers before the deferred
-	// release resets them. The final sort is a total order (job IDs are
-	// unique), so the half-concatenation order does not matter.
-	results := make([]JobResult, 0, len(jobs))
-	for _, half := range [2][]mapreduce.Result{upSim.Results(), outSim.Results()} {
-		for _, r := range half {
-			// Target records the scheduler's choice; Ran() derives the
-			// executing cluster when the balancer diverted the job.
-			d := decisions[r.Job.Tag]
-			results = append(results, JobResult{Result: r, Target: d.target, Diverted: d.diverted})
-		}
-	}
-	sort.Slice(results, func(i, j int) bool {
-		a, b := results[i], results[j]
-		if a.Submit != b.Submit {
-			return a.Submit < b.Submit
-		}
-		return a.Job.ID < b.Job.ID
-	})
-	return results
+	return rs
 }
 
-// scheduleArrivals schedules one arrival event per job, delivering each job
-// and its slice index to fn at its Submit instant. A Submit-sorted slice (the common case: the
-// workload generator emits monotone arrivals and the trace readers sort)
-// rides one shared cursor closure — queued events fire in the engine's
-// (at, seq) FIFO order, which equals slice order, so the i-th firing
-// delivers jobs[i]. An unsorted slice falls back to one closure per job;
+// scheduleArrivals schedules one arrival event per job, delivering each
+// job's slice index to fn at its Submit instant. A Submit-sorted slice (the
+// common case: the workload generator emits monotone arrivals and the trace
+// readers sort) rides one shared cursor closure — queued events fire in the
+// engine's (at, seq) FIFO order, which equals slice order, so the i-th firing
+// delivers index i. An unsorted slice falls back to one closure per job;
 // either way the firing schedule is identical to the per-job-closure form.
-func scheduleArrivals(eng *simclock.Engine, jobs []workload.Job, fn func(int, workload.Job)) {
+func scheduleArrivals(eng *simclock.Engine, jobs []workload.Job, fn func(int)) {
 	sorted := true
 	for i := 1; i < len(jobs); i++ {
 		if jobs[i].Submit < jobs[i-1].Submit {
@@ -161,8 +105,8 @@ func scheduleArrivals(eng *simclock.Engine, jobs []workload.Job, fn func(int, wo
 	}
 	if !sorted {
 		for i, job := range jobs {
-			i, job := i, job
-			eng.At(job.Submit, func(time.Duration) { fn(i, job) })
+			i := i
+			eng.At(job.Submit, func(time.Duration) { fn(i) })
 		}
 		return
 	}
@@ -170,28 +114,20 @@ func scheduleArrivals(eng *simclock.Engine, jobs []workload.Job, fn func(int, wo
 	arrive := func(time.Duration) {
 		i := next
 		next++
-		fn(i, jobs[i])
+		fn(i)
 	}
 	for _, job := range jobs {
 		eng.At(job.Submit, arrive)
 	}
 }
 
-// RunBaseline executes the same workload on a single traditional platform
-// (THadoop or RHadoop in §V) under the given slot-sharing policy and
-// returns per-job results.
+// RunBaseline replays the workload on a single healthy traditional platform
+// (THadoop or RHadoop in §V) under the given slot-sharing policy:
+// RunBaselineChecked with no faults, injection, budget or checker.
 func RunBaseline(p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy) []mapreduce.Result {
-	rst := mapreduce.AcquireState()
-	defer mapreduce.ReleaseState(rst)
-	sim := rst.Simulator(p)
-	sim.SetPolicy(policy)
-	for _, j := range jobs {
-		sim.Submit(j.MapReduceJob())
+	rs, err := RunBaselineChecked(p, jobs, policy, nil, Inject{}, nil, sweep.Budget{}, nil)
+	if err != nil {
+		panic(err) // unreachable: a fault-free, injection-free replay has nothing to reject
 	}
-	// Copy out of the simulator's internal buffer before the deferred
-	// release resets it.
-	run := sim.Run()
-	rs := make([]mapreduce.Result, len(run))
-	copy(rs, run)
 	return rs
 }

@@ -112,6 +112,29 @@ func TestHybridErrorSurfaces(t *testing.T) {
 	}
 }
 
+// A warm replay of a generated day allocates a fixed handful of times,
+// independent of the trace length: the job-state and result arrays, the
+// hooks' shared cell, the two hook closures and the arrival cursor.
+// BenchmarkFig10's allocs/op gate rides on this path.
+func TestRunAllocBudget(t *testing.T) {
+	h := newHybridT(t)
+	cfg := workload.DefaultConfig()
+	cfg.Jobs = 600
+	cfg.Duration = time.Duration(float64(24*time.Hour) * 600 / 6000)
+	jobs, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pooled replay state's buffers reach their high-water marks over
+	// the first couple of replays.
+	for i := 0; i < 3; i++ {
+		h.Run(jobs)
+	}
+	if n := testing.AllocsPerRun(5, func() { h.Run(jobs) }); n > 8 {
+		t.Errorf("warm Hybrid.Run allocates %.0f times, budget 8", n)
+	}
+}
+
 // RunBaseline executes all jobs on one platform.
 func TestRunBaseline(t *testing.T) {
 	th, err := mapreduce.NewTHadoop(mapreduce.DefaultCalibration())

@@ -58,7 +58,7 @@ func runObserved(t *testing.T, workers int) obsExports {
 		t.Fatal(err)
 	}
 	o := obs.Set{Trace: obs.NewTracer(), Metrics: obs.NewRegistry(), Audit: obs.NewAudit()}
-	res, err := RunResilienceObserved(cal(), jobs, obsFaultSchedule(t), core.Inject{}, o, sweep.New(workers))
+	res, err := RunResilienceOpts(cal(), jobs, obsFaultSchedule(t), core.Inject{}, o, sweep.New(workers), ResilienceOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestObservedRenderMatchesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := obs.Set{Trace: obs.NewTracer(), Metrics: obs.NewRegistry(), Audit: obs.NewAudit()}
-	res, err := RunResilienceObserved(cal(), jobs, faults.Demo(), core.Inject{}, o, sweep.New(0))
+	res, err := RunResilienceOpts(cal(), jobs, faults.Demo(), core.Inject{}, o, sweep.New(0), ResilienceOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"hybridmr/internal/core"
 	"hybridmr/internal/faults"
+	"hybridmr/internal/obs"
 	"hybridmr/internal/sweep"
 	"hybridmr/internal/workload"
 )
@@ -38,9 +39,9 @@ func TestReplayDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Fig10: %v", err)
 		}
-		r, err := RunResilienceJobs(cal(), jobs, faults.Demo(), core.Inject{})
+		r, err := RunResilienceOpts(cal(), jobs, faults.Demo(), core.Inject{}, obs.Set{}, nil, ResilienceOpts{})
 		if err != nil {
-			t.Fatalf("RunResilienceJobs: %v", err)
+			t.Fatalf("RunResilienceOpts: %v", err)
 		}
 		return f10.Render(), r.Render()
 	}
@@ -77,9 +78,9 @@ func TestResilienceWorkerCountProperty(t *testing.T) {
 	render := func(workers int) string {
 		t.Helper()
 		sweep.SetDefault(sweep.New(workers))
-		r, err := RunResilienceJobs(cal(), jobs, faults.Demo(), inj)
+		r, err := RunResilienceOpts(cal(), jobs, faults.Demo(), inj, obs.Set{}, nil, ResilienceOpts{})
 		if err != nil {
-			t.Fatalf("RunResilienceJobs(workers=%d): %v", workers, err)
+			t.Fatalf("RunResilienceOpts(workers=%d): %v", workers, err)
 		}
 		return r.Render()
 	}

@@ -76,25 +76,6 @@ type jobOutcome struct {
 	rerouted    bool
 }
 
-// RunResilience generates the trace from cfg and replays it under the fault
-// schedule on all five architectures.
-func RunResilience(cal mapreduce.Calibration, cfg workload.Config, sched *faults.Schedule, inj core.Inject) (*Resilience, error) {
-	jobs, err := workload.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return RunResilienceJobs(cal, jobs, sched, inj)
-}
-
-// RunResilienceJobs replays an already-built trace under the fault schedule
-// on all five architectures. The five replays are independent whole-cluster
-// simulations over the shared read-only job slice, so they run concurrently
-// on the process-wide sweep runner's pool; the report is byte-identical
-// regardless of worker count.
-func RunResilienceJobs(cal mapreduce.Calibration, jobs []workload.Job, sched *faults.Schedule, inj core.Inject) (*Resilience, error) {
-	return RunResilienceObserved(cal, jobs, sched, inj, obs.Set{}, nil)
-}
-
 // ResilienceOpts selects the robustness extras of the resilience experiment.
 // The zero value reproduces the classic five-replay run byte for byte.
 type ResilienceOpts struct {
@@ -115,20 +96,19 @@ type ResilienceOpts struct {
 	Invariants bool
 }
 
-// RunResilienceObserved is RunResilienceJobs with observability: the sinks in
-// o attach to the headline failure-aware hybrid replay (the architecture the
-// experiment argues for), and the runner's cache hit/miss counters mirror
-// into the registry for the duration of the run. A nil runner uses the
-// process-wide default; an empty Set observes nothing. Callers wanting
-// deterministic cache counters must pass a fresh runner — the default
-// runner's cache is shared process-wide, so its hit/miss split depends on
-// what ran before.
-func RunResilienceObserved(cal mapreduce.Calibration, jobs []workload.Job, sched *faults.Schedule, inj core.Inject, o obs.Set, runner *sweep.Runner) (*Resilience, error) {
-	return RunResilienceOpts(cal, jobs, sched, inj, o, runner, ResilienceOpts{})
-}
-
-// RunResilienceOpts is RunResilienceObserved with the robustness extras:
-// optional blacklist+cloning replay and a per-replay watchdog budget.
+// RunResilienceOpts replays an already-built trace under the fault schedule
+// on all five architectures (six with opts.FABlacklist). The replays are
+// independent whole-cluster simulations over the shared read-only job slice,
+// so they run concurrently on the runner's pool; the report is
+// byte-identical regardless of worker count. A nil runner uses the
+// process-wide default.
+//
+// The sinks in o attach to the headline failure-aware hybrid replay (the
+// architecture the experiment argues for), and the runner's cache hit/miss
+// counters mirror into the registry for the duration of the run; an empty
+// Set observes nothing. Callers wanting deterministic cache counters must
+// pass a fresh runner — the default runner's cache is shared process-wide,
+// so its hit/miss split depends on what ran before.
 func RunResilienceOpts(cal mapreduce.Calibration, jobs []workload.Job, sched *faults.Schedule, inj core.Inject, o obs.Set, runner *sweep.Runner, opts ResilienceOpts) (*Resilience, error) {
 	// The hybrid and both baseline platforms are the report's shared prefix:
 	// memoized per calibration (setup.go) and read-only, so all 5–7

@@ -14,7 +14,11 @@ import (
 )
 
 func TestRunResilienceDemo(t *testing.T) {
-	r, err := RunResilience(cal(), smallTraceConfig(600), faults.Demo(), core.Inject{})
+	jobs, err := workload.Generate(smallTraceConfig(600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunResilienceOpts(cal(), jobs, faults.Demo(), core.Inject{}, obs.Set{}, nil, ResilienceOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +85,7 @@ func TestResilienceAmpleBudgetMatchesUnguarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := RunResilienceJobs(cal(), jobs, faults.GrayDemo(), core.Inject{})
+	plain, err := RunResilienceOpts(cal(), jobs, faults.GrayDemo(), core.Inject{}, obs.Set{}, nil, ResilienceOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

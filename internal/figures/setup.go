@@ -13,7 +13,7 @@ import (
 // This file is the shared-prefix layer of the replay experiments: the work
 // every replay of a report repeats — generating the trace, assembling the
 // hybrid and the two baseline platforms — is computed once and memoized, and
-// the 3–7 concurrent replays of RunTrace/RunResilience* share the results.
+// the 3–7 concurrent replays of RunTrace and RunResilienceOpts share the results.
 // Everything handed out is read-only after construction (the simulators only
 // read jobs and platforms), which is what already made the replays safe to
 // fan out on the sweep pool; the memo just stops rebuilding the inputs.
@@ -37,23 +37,6 @@ type ArchSet struct {
 	RHadoop *mapreduce.Platform
 }
 
-// NewArchSet assembles the bundle without memoization.
-func NewArchSet(cal mapreduce.Calibration) (*ArchSet, error) {
-	hybrid, err := core.NewHybrid(cal)
-	if err != nil {
-		return nil, err
-	}
-	th, err := mapreduce.NewTHadoop(cal)
-	if err != nil {
-		return nil, err
-	}
-	rh, err := mapreduce.NewRHadoop(cal)
-	if err != nil {
-		return nil, err
-	}
-	return &ArchSet{Hybrid: hybrid, THadoop: th, RHadoop: rh}, nil
-}
-
 var (
 	setupMu sync.Mutex
 	arches  map[uint64]*ArchSet
@@ -71,10 +54,19 @@ func SharedArches(cal mapreduce.Calibration) (*ArchSet, error) {
 	if ok {
 		return a, nil
 	}
-	a, err := NewArchSet(cal)
+	hybrid, err := core.NewHybrid(cal)
 	if err != nil {
 		return nil, err
 	}
+	th, err := mapreduce.NewTHadoop(cal)
+	if err != nil {
+		return nil, err
+	}
+	rh, err := mapreduce.NewRHadoop(cal)
+	if err != nil {
+		return nil, err
+	}
+	a = &ArchSet{Hybrid: hybrid, THadoop: th, RHadoop: rh}
 	setupMu.Lock()
 	if prev, ok := arches[key]; ok {
 		a = prev // a concurrent builder won; share its bundle

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -36,6 +37,10 @@ func toRecord(j Job) traceRecord {
 	}
 }
 
+// maxSubmitMS is the largest submit_ms whose time.Duration does not wrap
+// negative.
+const maxSubmitMS = math.MaxInt64 / int64(time.Millisecond)
+
 func fromRecord(r traceRecord) (Job, error) {
 	prof, err := apps.ByName(r.App)
 	if err != nil {
@@ -46,6 +51,9 @@ func fromRecord(r traceRecord) (Job, error) {
 	}
 	if r.SubmitMS < 0 {
 		return Job{}, fmt.Errorf("workload: job %s: negative submit time", r.ID)
+	}
+	if r.SubmitMS > maxSubmitMS {
+		return Job{}, fmt.Errorf("workload: job %s: submit time %dms overflows the simulated clock", r.ID, r.SubmitMS)
 	}
 	if r.NominalBytes < 0 {
 		return Job{}, fmt.Errorf("workload: job %s: negative nominal size", r.ID)

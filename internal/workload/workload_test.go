@@ -278,6 +278,14 @@ func TestReadErrors(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader(neg)); err == nil {
 		t.Error("negative submit accepted")
 	}
+	// 9223372036854775 ms wraps time.Duration negative.
+	huge := "id,app,input_bytes,nominal_bytes,submit_ms,ratio_known,map_tasks\nj,grep,1024,0,9223372036854775,true,0\n"
+	if _, err := ReadCSV(strings.NewReader(huge)); err == nil {
+		t.Error("overflowing CSV submit accepted")
+	}
+	if _, err := ReadJSON(strings.NewReader(`[{"id":"j","app":"grep","input_bytes":1024,"submit_ms":9223372036854775}]`)); err == nil {
+		t.Error("overflowing JSON submit accepted")
+	}
 }
 
 // Reading a trace always yields jobs sorted by submission.
