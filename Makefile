@@ -1,6 +1,6 @@
 # Verification targets. `make check` is the one-command gate: tier-1
-# (build + test) plus vet, the determinism linter, the race layer and a
-# bench smoke pass.
+# (build + test) plus vet, the determinism linter, the race layer, the
+# engine examples and a bench smoke pass.
 
 GO ?= go
 # Benchmark iteration budget for bench-json: 1x for a CI smoke record,
@@ -19,7 +19,7 @@ NS_TOL ?= 300
 BENCH_GATE = BenchmarkFig10 BenchmarkTraceReplay BenchmarkResilienceReport \
 	BenchmarkReplayReuse/fresh BenchmarkReplayReuse/pooled BenchmarkEngineRaw
 
-.PHONY: all build test race vet lint resilience chaos bench-smoke bench-json bench-check golden loc check
+.PHONY: all build test race vet lint resilience chaos examples bench-smoke bench-json bench-check golden loc check
 
 all: check
 
@@ -106,6 +106,12 @@ chaos:
 	$(GO) test -race -count=1 ./internal/chaos/
 	$(GO) run ./cmd/chaoshunt -seed 1 -rounds 64 -budget events=5e7,simtime=720h
 
+# Run the examples that implement engine.Mapper, the only Mapper
+# implementations outside internal/engine, end to end.
+examples:
+	$(GO) run ./examples/minimr
+	$(GO) run ./examples/pipeline
+
 # Refresh the golden figure snapshots after an intentional model change.
 golden:
 	$(GO) test ./internal/figures -run TestGolden -update
@@ -119,4 +125,4 @@ loc:
 		printf '%6d  %s\n' "$$(cd "$$dir" && cat $$files </dev/null | wc -l)" "$$pkg"; \
 	done | awk '{ print; total += $$1 } END { printf "%6d  total\n", total }'
 
-check: build vet lint test race resilience chaos bench-smoke
+check: build vet lint test race resilience chaos examples bench-smoke

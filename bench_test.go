@@ -536,7 +536,27 @@ func BenchmarkEngineGrep(b *testing.B) {
 // servers, 2 reducers, 2 map and reduce slots, and a 16k-record sort buffer
 // so the spill-and-merge path runs.
 func BenchmarkEngineSort(b *testing.B) {
-	data := corpusBytes(b, 512*units.KB)
+	benchSort(b, corpusBytes(b, 512*units.KB))
+}
+
+// BenchmarkEngineSortDistinct runs the same Sort over 512 KB of
+// all-distinct 10-digit keys: every spill group holds one value, the
+// traffic the map side's key grouping helps least.
+func BenchmarkEngineSortDistinct(b *testing.B) {
+	var data []byte
+	for i := uint64(0); units.Bytes(len(data)) < 512*units.KB; i++ {
+		// 2654435761 is coprime to 1e10, so the keys never repeat.
+		data = fmt.Appendf(data, "%010d", i*2654435761%10_000_000_000)
+		if i%8 == 7 {
+			data = append(data, '\n')
+		} else {
+			data = append(data, ' ')
+		}
+	}
+	benchSort(b, data)
+}
+
+func benchSort(b *testing.B, data []byte) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

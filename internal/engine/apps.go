@@ -1,12 +1,13 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"hybridmr/internal/units"
 )
@@ -16,12 +17,47 @@ import (
 type WordcountMapper struct{}
 
 // Map implements Mapper.
-func (WordcountMapper) Map(line []byte, emit func(k, v string)) error {
-	for _, w := range bytes.Fields(line) {
-		emit(string(w), "1")
-	}
+func (WordcountMapper) Map(line string, emit func(k, v string)) error {
+	eachField(line, func(w string) { emit(w, "1") })
 	return nil
 }
+
+// eachField calls fn with every whitespace-separated field of s, in order:
+// exactly the fields strings.Fields returns, but as substrings of s and
+// without building a slice. ASCII text takes the byte-scanning fast path;
+// from the field holding the first byte ≥ 0x80 on, the rest of s goes
+// through strings.Fields, whose Unicode whitespace rules then apply.
+//
+//simlint:hotpath
+func eachField(s string, fn func(string)) {
+	start := -1 // start of the current field, -1 between fields
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			if start < 0 {
+				start = i
+			}
+			for _, f := range strings.Fields(s[start:]) { //simlint:allow hotalloc non-ASCII lines only; the ASCII fast path allocates nothing
+				fn(f)
+			}
+			return
+		}
+		if asciiSpace[c] {
+			if start >= 0 {
+				fn(s[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		fn(s[start:])
+	}
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // SumReducer adds integer values; it doubles as Wordcount's combiner.
 type SumReducer struct{}
@@ -71,10 +107,11 @@ func NewGrepMapper(pattern string) (*GrepMapper, error) {
 	return &GrepMapper{re: re}, nil
 }
 
-// Map implements Mapper.
-func (g *GrepMapper) Map(line []byte, emit func(k, v string)) error {
-	if m := g.re.Find(line); m != nil {
-		emit(string(m), "1")
+// Map implements Mapper. The emitted key is the match, a substring of
+// the line.
+func (g *GrepMapper) Map(line string, emit func(k, v string)) error {
+	if loc := g.re.FindStringIndex(line); loc != nil {
+		emit(line[loc[0]:loc[1]], "1")
 	}
 	return nil
 }
@@ -133,11 +170,15 @@ func DFSIOWrite(store BlockStore, prefix string, files int, fileSize units.Bytes
 		go func() { //simlint:allow locksafe real execution: slot-bounded writer pool, joined before results are read
 			defer wg.Done()
 			defer func() { <-sem }()
-			data := make([]byte, fileSize)
-			// A cheap deterministic fill; TestDFSIO writes a
+			// A cheap deterministic fill: the 26-byte period
+			// 'a'+(i+j)%26, doubled by copying. TestDFSIO writes a
 			// repeating pattern too.
-			for j := range data {
+			data := make([]byte, fileSize)
+			for j := range data[:min(len(data), 26)] {
 				data[j] = byte('a' + (i+j)%26)
+			}
+			for n := 26; n < len(data); n *= 2 {
+				copy(data[n:], data[:n])
 			}
 			if err := store.Create(fmt.Sprintf("%s-%05d", prefix, i), data); err != nil {
 				firstErr.set(err)

@@ -1,10 +1,11 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hybridmr/internal/units"
@@ -16,10 +17,8 @@ import (
 type SortMapper struct{}
 
 // Map implements Mapper.
-func (SortMapper) Map(line []byte, emit func(k, v string)) error {
-	for _, w := range bytes.Fields(line) {
-		emit(string(w), "")
-	}
+func (SortMapper) Map(line string, emit func(k, v string)) error {
+	eachField(line, func(w string) { emit(w, "") })
 	return nil
 }
 
@@ -52,15 +51,16 @@ func NewSort(store BlockStore, input, output string, reducers, mapSlots, reduceS
 }
 
 // DFSIORead runs the TestDFSIO read test: every file written by a prior
-// DFSIOWrite with the same prefix is read back in full by one map "task"
-// (bounded by mapSlots workers), and the aggregate throughput is reported.
+// DFSIOWrite with the same prefix (named prefix-NNNNN) is read back in full
+// by one map "task", and the aggregate throughput is reported. mapSlots
+// workers each stream their files through one reused chunk buffer.
 func DFSIORead(store BlockStore, prefix string, mapSlots int) (DFSIOResult, error) {
 	if mapSlots < 1 {
 		return DFSIOResult{}, fmt.Errorf("engine: dfsio-read: %d slots", mapSlots)
 	}
 	var names []string
 	for _, n := range store.List() {
-		if len(n) > len(prefix) && n[:len(prefix)] == prefix {
+		if strings.HasPrefix(n, prefix+"-") {
 			names = append(names, n)
 		}
 	}
@@ -68,39 +68,23 @@ func DFSIORead(store BlockStore, prefix string, mapSlots int) (DFSIOResult, erro
 		return DFSIOResult{}, fmt.Errorf("engine: dfsio-read: no files with prefix %q", prefix)
 	}
 	start := time.Now() //simlint:allow walltime DFSIO measures real I/O wall time by definition
-	sem := make(chan struct{}, mapSlots)
 	var wg sync.WaitGroup
 	var firstErr errOnce
-	var total int64
-	var mu sync.Mutex
-	var fileSize units.Bytes
-	for _, name := range names {
-		name := name
+	var next, total, fileSize atomic.Int64
+	for w := 0; w < min(mapSlots, len(names)); w++ {
 		wg.Add(1)
-		sem <- struct{}{}
 		go func() { //simlint:allow locksafe real execution: slot-bounded reader pool, joined before results are read
 			defer wg.Done()
-			defer func() { <-sem }()
-			ds, err := store.Open(name)
-			if err != nil {
-				firstErr.set(err)
-				return
+			buf := make([]byte, dfsioChunk)
+			for i := next.Add(1) - 1; i < int64(len(names)); i = next.Add(1) - 1 {
+				size, err := dfsioReadFile(store, names[i], buf)
+				if err != nil {
+					firstErr.set(err)
+					return
+				}
+				total.Add(int64(size))
+				fileSize.Store(int64(size))
 			}
-			buf := make([]byte, ds.Size())
-			if _, err := readFull(ds, buf, 0); err != nil {
-				firstErr.set(fmt.Errorf("engine: dfsio-read %s: %w", name, err))
-				return
-			}
-			// Touch the bytes so the read cannot be elided.
-			var sum byte
-			for _, c := range buf {
-				sum ^= c
-			}
-			_ = sum
-			mu.Lock()
-			total += int64(len(buf))
-			fileSize = ds.Size()
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()
@@ -108,11 +92,37 @@ func DFSIORead(store BlockStore, prefix string, mapSlots int) (DFSIOResult, erro
 		return DFSIOResult{}, err
 	}
 	wall := time.Since(start) //simlint:allow walltime DFSIO measures real I/O wall time by definition
-	res := DFSIOResult{Files: len(names), FileSize: fileSize, TotalBytes: units.Bytes(total), Wall: wall}
+	res := DFSIOResult{Files: len(names), FileSize: units.Bytes(fileSize.Load()), TotalBytes: units.Bytes(total.Load()), Wall: wall}
 	if wall > 0 {
-		res.Throughput = units.BytesPerSec(float64(total) / wall.Seconds())
+		res.Throughput = units.BytesPerSec(float64(total.Load()) / wall.Seconds())
 	}
 	return res, nil
+}
+
+// dfsioChunk is the size of each DFSIORead worker's read buffer.
+const dfsioChunk = 64 << 10
+
+// dfsioReadFile streams one file through buf, touching every byte so the
+// read cannot be elided, and returns the file's size.
+func dfsioReadFile(store BlockStore, name string, buf []byte) (units.Bytes, error) {
+	ds, err := store.Open(name)
+	if err != nil {
+		return 0, err
+	}
+	size := int64(ds.Size())
+	var sum byte
+	for off := int64(0); off < size; {
+		chunk := buf[:min(int64(len(buf)), size-off)]
+		if _, err := readFull(ds, chunk, off); err != nil {
+			return 0, fmt.Errorf("engine: dfsio-read %s: %w", name, err)
+		}
+		for _, c := range chunk {
+			sum ^= c
+		}
+		off += int64(len(chunk))
+	}
+	_ = sum
+	return ds.Size(), nil
 }
 
 // TopKMapper emits (word, count-of-1) like Wordcount; combined with

@@ -2,6 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -69,6 +72,58 @@ func TestDFSIOReadRoundTrip(t *testing.T) {
 	}
 	if r.Throughput <= 0 {
 		t.Error("non-positive read throughput")
+	}
+}
+
+// DFSIORead reads only the files DFSIOWrite named prefix-NNNNN: reading
+// "io" back does not pick up another test's "io2" files.
+func TestDFSIOReadPrefixIsolation(t *testing.T) {
+	store := newOFS(t)
+	if _, err := DFSIOWrite(store, "io", 2, 8*units.KB, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DFSIOWrite(store, "io2", 3, 8*units.KB, 2); err != nil {
+		t.Fatal(err)
+	}
+	r, err := DFSIORead(store, "io", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Files != 2 || r.TotalBytes != 16*units.KB {
+		t.Errorf("read %d files, %v; want 2 files, 16KB", r.Files, r.TotalBytes)
+	}
+}
+
+// DFSIOWrite's file i holds the byte 'a'+(i+j)%26 at offset j, for sizes
+// below, at and past one 26-byte period and past a doubling step.
+func TestDFSIOWritePattern(t *testing.T) {
+	for _, size := range []units.Bytes{1, 25, 26, 27, 52, 1000, 70000} {
+		store := newOFS(t)
+		if _, err := DFSIOWrite(store, "io", 3, size, 2); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			got := readAll(t, store, fmt.Sprintf("io-%05d", i))
+			want := make([]byte, size)
+			for j := range want {
+				want[j] = byte('a' + (i+j)%26)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("size %d file %d: pattern differs", size, i)
+			}
+		}
+	}
+}
+
+// A file that reads back shorter than its Size fails the read test.
+func TestDFSIOReadShortFile(t *testing.T) {
+	store := newOFS(t)
+	if _, err := DFSIOWrite(store, "io", 2, 100*units.KB, 2); err != nil {
+		t.Fatal(err)
+	}
+	_, err := DFSIORead(shortStore{store, 90 << 10}, "io", 2)
+	if !errors.Is(err, io.EOF) {
+		t.Errorf("DFSIORead error = %v, want the short read", err)
 	}
 }
 

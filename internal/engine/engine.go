@@ -16,7 +16,10 @@ import (
 // Mapper transforms one input record (a line) into key/value pairs.
 type Mapper interface {
 	// Map processes one line; emit may be called any number of times.
-	Map(line []byte, emit func(key, value string)) error
+	// The line is a substring of the task's input split, which the engine
+	// reads once into one string: substrings of line may be emitted as
+	// keys or values without copying.
+	Map(line string, emit func(key, value string)) error
 }
 
 // Reducer folds all values of one key into output pairs. A Reducer may also
@@ -292,10 +295,10 @@ func runMapTask(cfg Config, ds Dataset, task int, part Partitioner) (out [][]kv,
 		}
 	}
 	for len(split) > 0 {
-		nl := bytes.IndexByte(split, '\n')
-		var line []byte
+		nl := strings.IndexByte(split, '\n')
+		var line string
 		if nl < 0 {
-			line, split = split, nil
+			line, split = split, ""
 		} else {
 			line, split = split[:nl], split[nl+1:]
 		}
@@ -320,8 +323,10 @@ func runMapTask(cfg Config, ds Dataset, task int, part Partitioner) (out [][]kv,
 	return out, nIn, nOut, int64(sb.spills), nil
 }
 
-// readSplit returns the bytes of the task's line-aligned split.
-func readSplit(ds Dataset, task int) ([]byte, error) {
+// readSplit returns the task's line-aligned split, read once into one
+// string. A dataset that serves fewer bytes than its Size reports fails
+// with io.ErrUnexpectedEOF.
+func readSplit(ds Dataset, task int) (string, error) {
 	block := int64(ds.BlockSize())
 	size := int64(ds.Size())
 	start := int64(task) * block
@@ -334,7 +339,7 @@ func readSplit(ds Dataset, task int) ([]byte, error) {
 	if task > 0 {
 		off, err := nextLineStart(ds, start-1)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		start = off
 	}
@@ -342,18 +347,23 @@ func readSplit(ds Dataset, task int) ([]byte, error) {
 	if end < size {
 		off, err := nextLineStart(ds, end-1)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		end = off
 	}
 	if start >= end {
-		return nil, nil
+		return "", nil
 	}
-	buf := make([]byte, end-start)
-	if _, err := readFull(ds, buf, start); err != nil {
-		return nil, err
+	var sb strings.Builder
+	sb.Grow(int(end - start))
+	n, err := io.Copy(&sb, io.NewSectionReader(ds, start, end-start))
+	if err != nil {
+		return "", err
 	}
-	return buf, nil
+	if n < end-start {
+		return "", fmt.Errorf("split [%d, %d) read %d bytes: %w", start, end, n, io.ErrUnexpectedEOF)
+	}
+	return sb.String(), nil
 }
 
 // nextLineStart returns the offset just past the first newline at or after

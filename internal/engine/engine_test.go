@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -211,7 +212,7 @@ func TestSplitAlignmentProperty(t *testing.T) {
 
 type countLinesMapper struct{}
 
-func (countLinesMapper) Map(line []byte, emit func(k, v string)) error {
+func (countLinesMapper) Map(line string, emit func(k, v string)) error {
 	emit("lines", "1")
 	return nil
 }
@@ -346,6 +347,50 @@ func TestReadErrorFailsJob(t *testing.T) {
 	}
 }
 
+// A dataset that serves fewer bytes than its Size reports fails the job
+// with io.ErrUnexpectedEOF, naming the job and the task whose split came
+// up short, instead of mapping a silently truncated split.
+func TestShortReadFailsJob(t *testing.T) {
+	text := strings.Repeat("word word word\n", 1000) // 15000 B: 4 blocks of 4 KB
+	store := newOFS(t)
+	if err := store.Create("in", []byte(text)); err != nil {
+		t.Fatal(err)
+	}
+	short := shortStore{store, int64(len(text)) - 5} // cut inside the last line
+	_, err := Run(NewWordcount(short, "in", "", 2, 1, 1))
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "job wordcount task 3") {
+		t.Errorf("Run error = %v, want io.ErrUnexpectedEOF from task 3", err)
+	}
+}
+
+// shortStore serves datasets that end at byte cut but report their full
+// Size.
+type shortStore struct {
+	*MemOFS
+	cut int64
+}
+
+func (s shortStore) Open(name string) (Dataset, error) {
+	d, err := s.MemOFS.Open(name)
+	return shortDataset{d, s.cut}, err
+}
+
+type shortDataset struct {
+	Dataset
+	cut int64
+}
+
+func (d shortDataset) ReadAt(p []byte, off int64) (int, error) {
+	if off >= d.cut {
+		return 0, io.EOF
+	}
+	if off+int64(len(p)) > d.cut {
+		n, _ := d.Dataset.ReadAt(p[:d.cut-off], off)
+		return n, io.EOF
+	}
+	return d.Dataset.ReadAt(p, off)
+}
+
 var errFlakyRead = errors.New("flaky read")
 
 // flakyStore serves datasets whose reads at or past offset from fail.
@@ -401,7 +446,7 @@ func TestMapperErrorPropagates(t *testing.T) {
 
 type failingMapper struct{}
 
-func (failingMapper) Map([]byte, func(string, string)) error {
+func (failingMapper) Map(string, func(string, string)) error {
 	return fmt.Errorf("boom mapper")
 }
 

@@ -15,11 +15,13 @@ import (
 // functional substrate. An unbounded buffer is the same path with a single
 // spill at task end.
 //
-// Each record is sorted once, in its spill; every later step — the
-// task-end merge of segments, the reduce-side merge of task runs and the
-// merge of reducer outputs — merges sorted runs in cmpKV order. Output
-// emitted by a combiner or reducer is checked and sorted only when it is
-// out of order.
+// Each record is sorted once, in its spill: the buffer groups values by
+// key in a hash index, so a spill sorts only the distinct keys and each
+// key's values, which yields cmpKV order with or without a combiner. Every
+// later step — the task-end merge of segments, the reduce-side merge of
+// task runs and the merge of reducer outputs — merges sorted runs in cmpKV
+// order. Output emitted by a combiner or reducer is checked and sorted only
+// when it is out of order.
 
 // kv is one intermediate pair.
 type kv struct{ k, v string }
@@ -41,25 +43,20 @@ func ensureSorted(run []kv) {
 	}
 }
 
-// keyGroup is one distinct key of a combining spill buffer; after the
-// counting pass in combineGroups, its values are byKey[lo:hi].
+// keyGroup is one distinct key of a spill buffer; after the counting pass
+// in spill, its values are byKey[lo:hi].
 type keyGroup struct {
 	key    string
 	lo, hi int32
 }
 
 // spillBuffer accumulates one map task's output under a record bound
-// (0 = unbounded).
+// (0 = unbounded), grouping values per key in a reused hash index: gids[i]
+// is the group of the i-th buffered value.
 type spillBuffer struct {
 	bound    int
 	combiner Reducer
-	n        int // records added since the last spill
 
-	// Without a combiner the buffer holds the raw pairs.
-	buf []kv
-	// With one it groups values per key in a reused hash index instead:
-	// gids[i] is the group of the i-th buffered value, and a spill sorts
-	// only the distinct keys and the values within each key.
 	index  map[string]int32
 	groups []keyGroup
 	gids   []int32
@@ -71,74 +68,49 @@ type spillBuffer struct {
 }
 
 func newSpillBuffer(bound int, combiner Reducer) *spillBuffer {
-	s := &spillBuffer{bound: bound, combiner: combiner}
 	// Buffers start small and grow to the bound at most, so a task that
 	// emits little (Grep) allocates little.
 	size := 1024
 	if bound > 0 && bound < size {
 		size = bound
 	}
-	if combiner != nil {
-		s.index = make(map[string]int32)
-		s.gids = make([]int32, 0, size)
-		s.vals = make([]string, 0, size)
-	} else {
-		s.buf = make([]kv, 0, size)
+	return &spillBuffer{
+		bound: bound, combiner: combiner,
+		index: make(map[string]int32),
+		gids:  make([]int32, 0, size),
+		vals:  make([]string, 0, size),
 	}
-	return s
 }
 
 // add buffers one pair, spilling when the buffer is full.
+//
+//simlint:hotpath
 func (s *spillBuffer) add(p kv) error {
-	if s.combiner == nil {
-		s.buf = append(s.buf, p)
-	} else {
-		g, ok := s.index[p.k]
-		if !ok {
-			g = int32(len(s.groups))
-			s.index[p.k] = g
-			s.groups = append(s.groups, keyGroup{key: p.k})
-		}
-		s.groups[g].hi++ // counts values until spill turns counts into bounds
-		s.gids = append(s.gids, g)
-		s.vals = append(s.vals, p.v)
+	g, ok := s.index[p.k]
+	if !ok {
+		g = int32(len(s.groups))
+		s.index[p.k] = g
+		s.groups = append(s.groups, keyGroup{key: p.k})
 	}
-	s.n++
-	if s.bound > 0 && s.n >= s.bound {
+	s.groups[g].hi++ // counts values until spill turns counts into bounds
+	s.gids = append(s.gids, g)
+	s.vals = append(s.vals, p.v)
+	if s.bound > 0 && len(s.vals) >= s.bound {
 		return s.spill()
 	}
 	return nil
 }
 
-// spill sorts (and combines) the buffered records into a new segment.
-// Only a bounded buffer counts its spills, as Hadoop's counter does.
+// spill counting-sorts the buffered values by group, sorts the distinct
+// keys and each key's values, and appends the result as a new segment:
+// without a combiner every group's values in key order, which is cmpKV
+// order; with one the combiner's output per key. It then resets the index
+// for the next spill. Only a bounded buffer counts its spills, as Hadoop's
+// counter does.
 func (s *spillBuffer) spill() error {
-	if s.n == 0 {
+	if len(s.vals) == 0 {
 		return nil
 	}
-	var seg []kv
-	if s.combiner == nil {
-		seg = slices.Clone(s.buf)
-		slices.SortFunc(seg, cmpKV)
-		s.buf = s.buf[:0]
-	} else {
-		var err error
-		if seg, err = s.combineGroups(); err != nil {
-			return err
-		}
-	}
-	s.segments = append(s.segments, seg)
-	s.n = 0
-	if s.bound > 0 {
-		s.spills++
-	}
-	return nil
-}
-
-// combineGroups counting-sorts the buffered values by group, sorts the
-// distinct keys and each key's values, runs the combiner per key and
-// resets the index for the next spill.
-func (s *spillBuffer) combineGroups() ([]kv, error) {
 	var off int32
 	for i := range s.groups {
 		g := &s.groups[i]
@@ -150,19 +122,33 @@ func (s *spillBuffer) combineGroups() ([]kv, error) {
 		s.groups[g].hi++
 	}
 	slices.SortFunc(s.groups, func(a, b keyGroup) int { return strings.Compare(a.key, b.key) })
-	seg := make([]kv, 0, len(s.groups))
+	size := len(s.groups)
+	if s.combiner == nil {
+		size = len(s.vals)
+	}
+	seg := make([]kv, 0, size)
 	emit := func(k, v string) { seg = append(seg, kv{k, v}) }
 	for _, g := range s.groups {
 		vals := s.byKey[g.lo:g.hi:g.hi]
 		slices.Sort(vals)
-		if err := s.combiner.Reduce(g.key, vals, emit); err != nil {
-			return nil, err
+		if s.combiner == nil {
+			for _, v := range vals {
+				seg = append(seg, kv{g.key, v})
+			}
+		} else if err := s.combiner.Reduce(g.key, vals, emit); err != nil {
+			return err
 		}
 	}
-	ensureSorted(seg)
+	if s.combiner != nil {
+		ensureSorted(seg)
+	}
+	s.segments = append(s.segments, seg)
+	if s.bound > 0 {
+		s.spills++
+	}
 	clear(s.index)
 	s.groups, s.gids, s.vals = s.groups[:0], s.gids[:0], s.vals[:0]
-	return seg, nil
+	return nil
 }
 
 // drain finishes the task: a final spill, then a k-way merge of all

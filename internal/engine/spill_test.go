@@ -160,9 +160,9 @@ func randomCorpus(rng *rand.Rand) []byte {
 // distinct values, so value order matters.
 type firstByteMapper struct{}
 
-func (firstByteMapper) Map(line []byte, emit func(k, v string)) error {
-	for _, w := range bytes.Fields(line) {
-		emit(string(w[:1]), string(w))
+func (firstByteMapper) Map(line string, emit func(k, v string)) error {
+	for _, w := range strings.Fields(line) {
+		emit(w[:1], w)
 	}
 	return nil
 }
@@ -216,7 +216,7 @@ func naiveRun(cfg Config, text []byte, block units.Bytes) ([]byte, Counters) {
 		if end > 0 {
 			ctr.InputRecords++
 			task := off / int(block)
-			_ = cfg.Mapper.Map(text[off:off+end], func(k, v string) { tasks[task] = append(tasks[task], kv{k, v}) })
+			_ = cfg.Mapper.Map(string(text[off:off+end]), func(k, v string) { tasks[task] = append(tasks[task], kv{k, v}) })
 		}
 		off += end + 1
 	}

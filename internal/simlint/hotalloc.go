@@ -21,6 +21,8 @@ import (
 //     capture-free literals compile to static functions and pass
 //   - fmt calls and non-constant string concatenation (interface boxing and
 //     string building allocate)
+//   - the strings and bytes splitters (Fields, Split and their variants),
+//     which build a fresh slice per call
 //   - defer inside a loop (loop defers heap-allocate their records)
 //
 // Subtrees of panic(...) arguments are exempt: panics are cold paths and the
@@ -144,8 +146,15 @@ func checkHotFunc(p *Pass, fn *ast.FuncDecl) {
 					p.Reportf(n.Pos(), "append result does not feed back into the slice it grows; on the hot path append must reuse capacity (x = append(x, ...))")
 				}
 			default:
-				if obj := p.calleeObj(n); obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "fmt" {
+				obj := p.calleeObj(n)
+				if obj == nil || obj.Pkg() == nil {
+					break
+				}
+				switch path := obj.Pkg().Path(); {
+				case path == "fmt":
 					p.Reportf(n.Pos(), "fmt.%s boxes its operands into interfaces and allocates; hot paths must not format", obj.Name())
+				case (path == "strings" || path == "bytes") && splitters[obj.Name()]:
+					p.Reportf(n.Pos(), "%s.%s builds a fresh slice per call; scan the input in place", path, obj.Name())
 				}
 			}
 		case *ast.UnaryExpr:
@@ -187,6 +196,13 @@ func checkHotFunc(p *Pass, fn *ast.FuncDecl) {
 		walkChildren(p, n, loopDepth, walk)
 	}
 	walk(fn.Body, 0)
+}
+
+// splitters are the strings and bytes functions that return a freshly
+// allocated slice of pieces of their input.
+var splitters = map[string]bool{
+	"Fields": true, "FieldsFunc": true, "Split": true, "SplitN": true,
+	"SplitAfter": true, "SplitAfterN": true,
 }
 
 // walkChildren applies walk to every direct child of n, threading loopDepth.

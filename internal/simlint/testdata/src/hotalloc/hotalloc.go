@@ -4,7 +4,10 @@
 // literals, constant folding, panic cold paths).
 package hotalloc
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 type ring struct {
 	buf []int
@@ -48,6 +51,18 @@ func warnLocalSelfAppend(n int) int {
 //simlint:hotpath
 func badFmt(v int) string {
 	return fmt.Sprintf("v=%d", v) // want "fmt.Sprintf boxes its operands"
+}
+
+//simlint:hotpath
+func badFields(s string) int {
+	return len(strings.Fields(s)) // want "strings.Fields builds a fresh slice per call"
+}
+
+// Scanning in place allocates nothing and passes.
+//
+//simlint:hotpath
+func goodIndex(s string) int {
+	return strings.IndexByte(s, ' ')
 }
 
 //simlint:hotpath
