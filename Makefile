@@ -1,6 +1,6 @@
 # Verification targets. `make check` is the one-command gate: tier-1
 # (build + test) plus vet, the determinism linter, the race layer, the
-# engine examples and a bench smoke pass.
+# examples and a bench smoke pass.
 
 GO ?= go
 # Benchmark iteration budget for bench-json: 1x for a CI smoke record,
@@ -106,11 +106,14 @@ chaos:
 	$(GO) test -race -count=1 ./internal/chaos/
 	$(GO) run ./cmd/chaoshunt -seed 1 -rounds 64 -budget events=5e7,simtime=720h
 
-# Run the examples that implement engine.Mapper, the only Mapper
-# implementations outside internal/engine, end to end.
+# Run end to end the examples that consume internal APIs nothing else
+# outside their packages does: minimr and pipeline implement engine.Mapper
+# (the only Mapper implementations outside internal/engine), and fbtrace
+# reads figures.TraceResult (its only consumer outside internal/figures).
 examples:
 	$(GO) run ./examples/minimr
 	$(GO) run ./examples/pipeline
+	$(GO) run ./examples/fbtrace
 
 # Refresh the golden figure snapshots after an intentional model change.
 golden:

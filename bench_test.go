@@ -132,6 +132,16 @@ func BenchmarkFig10(b *testing.B) {
 	}
 }
 
+// BenchmarkFig10Serial is BenchmarkFig10 on one sweep worker: the three
+// replays run one after another, the shape of the benchmark suite's fb-day
+// operation, so ns/op is the whole figure's serial cost.
+func BenchmarkFig10Serial(b *testing.B) {
+	prev := sweep.Default()
+	sweep.SetDefaultWorkers(1)
+	b.Cleanup(func() { sweep.SetDefault(prev) })
+	BenchmarkFig10(b)
+}
+
 // BenchmarkMeasureCrossPoints runs the §IV methodology (the sweep other
 // deployments would rerun on their own hardware).
 func BenchmarkMeasureCrossPoints(b *testing.B) {

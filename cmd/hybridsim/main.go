@@ -332,41 +332,38 @@ func runTrace(path string, jobs int, seed int64, balance, hist bool, sinks obsSi
 		}
 		hybrid.Balance = bal
 	}
-	upJobs, outJobs := hybrid.Sched.Classify(trace)
-	fmt.Print(workload.Summarize(trace))
-	fmt.Printf("routing: %d scale-up, %d scale-out\n\n", len(upJobs), len(outJobs))
-
-	isUp := make(map[string]bool, len(upJobs))
-	for _, j := range upJobs {
-		isUp[j.ID] = true
+	// Routing and execution times are indexed by trace position.
+	up := make([]bool, len(trace))
+	nUp := 0
+	for i := range trace {
+		if up[i] = hybrid.Sched.Decide(trace[i]) == core.ScaleUp; up[i] {
+			nUp++
+		}
 	}
+	fmt.Print(workload.Summarize(trace))
+	fmt.Printf("routing: %d scale-up, %d scale-out\n\n", nUp, len(trace)-nUp)
 
 	// The hybrid replays through its one driver; the sinks only observe, so
 	// an observed run reports what a bare run reports.
 	o := sinks.set()
-	collectHy := func() map[string]float64 {
+	collectHy := func() []float64 {
 		results, err := hybrid.RunFaulted(trace, core.FaultRun{Obs: o})
 		if err != nil {
 			fatal(err)
 		}
-		m := make(map[string]float64, len(trace))
-		for _, r := range results {
-			if r.Err != nil {
-				fatal(fmt.Errorf("hybrid job %s: %w", r.Job.ID, r.Err))
-			}
-			m[r.Job.ID] = r.Exec.Seconds()
+		exec, err := figures.ExecSeconds(trace, func(i int) *mapreduce.Result { return &results[i].Result })
+		if err != nil {
+			fatal(fmt.Errorf("hybrid %w", err))
 		}
-		return m
+		return exec
 	}
-	collect := func(p *mapreduce.Platform) map[string]float64 {
-		m := make(map[string]float64, len(trace))
-		for _, r := range core.RunBaseline(p, trace, mapreduce.Fair) {
-			if r.Err != nil {
-				fatal(fmt.Errorf("%s job %s: %w", p.Name, r.Job.ID, r.Err))
-			}
-			m[r.Job.ID] = r.Exec.Seconds()
+	collect := func(p *mapreduce.Platform) []float64 {
+		results := core.RunBaseline(p, trace, mapreduce.Fair)
+		exec, err := figures.ExecSeconds(trace, func(i int) *mapreduce.Result { return &results[i] })
+		if err != nil {
+			fatal(fmt.Errorf("%s %w", p.Name, err))
 		}
-		return m
+		return exec
 	}
 	th, err := mapreduce.NewTHadoop(cal)
 	if err != nil {
@@ -378,7 +375,7 @@ func runTrace(path string, jobs int, seed int64, balance, hist bool, sinks obsSi
 	}
 	results := []struct {
 		name string
-		exec map[string]float64
+		exec []float64
 	}{
 		{"Hybrid", collectHy()},
 		{"THadoop", collect(th)},
@@ -391,8 +388,8 @@ func runTrace(path string, jobs int, seed int64, balance, hist bool, sinks obsSi
 		fmt.Printf("== %s\n", class.name)
 		for _, r := range results {
 			c := stats.NewCDF(nil)
-			for id, e := range r.exec {
-				if isUp[id] == class.up {
+			for i, e := range r.exec {
+				if up[i] == class.up {
 					c.Add(e)
 				}
 			}

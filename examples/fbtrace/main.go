@@ -25,8 +25,8 @@ func main() {
 		log.Fatal(err)
 	}
 	upCount := 0
-	for _, isUp := range tr.UpClass {
-		if isUp {
+	for _, up := range tr.Up {
+		if up {
 			upCount++
 		}
 	}
@@ -40,7 +40,7 @@ func main() {
 		fmt.Printf("== %s\n", class.name)
 		for _, arch := range []struct {
 			name string
-			exec map[string]float64
+			exec []float64
 		}{
 			{"Hybrid", tr.Hybrid},
 			{"THadoop", tr.THadoop},

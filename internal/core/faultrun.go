@@ -173,9 +173,10 @@ func other(t Target) Target {
 // RunFaulted is the hybrid's replay driver. Both halves share one simulated
 // clock, each with its own slot pools, and every job is routed at its
 // arrival instant, so the load balancer and the failure-aware scheduler see
-// live state. The zero FaultRun replays the healthy hybrid (Run). The
-// returned error reports an unsurvivable or incoherent schedule (or bad
-// injection bounds), before any simulation runs.
+// live state. The zero FaultRun replays the healthy hybrid (Run). It returns
+// one result per job in (Submit, Job.ID) order. The returned error reports
+// an unsurvivable or incoherent schedule (or bad injection bounds), before
+// any simulation runs.
 func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, error) {
 	if h.Sched == nil {
 		return nil, fmt.Errorf("core: hybrid has no scheduler")
@@ -244,15 +245,18 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 		rerouted bool
 		attempts int
 	}
-	// One backing array for every job's state, indexed by arrival order.
+	// One backing array for every job's state, indexed by trace position.
 	// The index rides the submitted job's Tag and comes back in its Result,
 	// so tracking 6000 jobs costs one allocation and no hashing.
 	backing := make([]state, len(jobs))
-	// The hooks' mutable state shares one heap cell.
+	// The hooks' mutable state shares one heap cell. Each finished job's
+	// result is written at its trace index, so nothing is moved after the
+	// drain; filled counts the writes for the conservation check.
 	acc := struct {
 		results []JobResult
+		filled  int
 		bench   [2]benchState // blacklist accounts, indexed by Target
-	}{results: make([]JobResult, 0, len(jobs))}
+	}{results: make([]JobResult, len(jobs))}
 
 	submit := func(idx int) {
 		st := &backing[idx]
@@ -350,13 +354,14 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 		// retry round trip counts against it.
 		r.Submit = jobs[idx].Submit
 		r.Exec = r.End - r.Submit
-		acc.results = append(acc.results, JobResult{
+		acc.results[idx] = JobResult{
 			Result:   r,
 			Target:   st.target,
 			Diverted: st.dest != st.target,
 			Rerouted: st.rerouted,
 			Attempts: st.attempts,
-		})
+		}
+		acc.filled++
 	}
 	upSim.SetResultHook(record)
 	outSim.SetResultHook(record)
@@ -370,26 +375,43 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 	if inv != nil {
 		upSim.CheckDrainedInvariants()
 		outSim.CheckDrainedInvariants()
-		if len(results) != len(jobs) {
-			inv.Violate("job-conservation", "hybrid: %d jobs submitted, %d results", len(jobs), len(results))
+		if acc.filled != len(jobs) {
+			inv.Violate("job-conservation", "hybrid: %d jobs submitted, %d results", len(jobs), acc.filled)
 		}
 		for i := range results {
-			if a := results[i].Attempts; a < 1 || a > maxAttempts {
+			// A slot with 0 attempts is a job that never finished, which
+			// job-conservation above already reports.
+			if a := results[i].Attempts; a > maxAttempts {
 				inv.Violate("task-attempts", "hybrid: job %s finished with %d attempts, budget [1,%d]",
 					results[i].Job.ID, a, maxAttempts)
 			}
 		}
 	}
-
-	// A total order (job IDs are unique), so the hook order of the two
-	// halves does not matter.
-	slices.SortFunc(results, func(a, b JobResult) int {
-		if a.Submit != b.Submit {
-			return cmp.Compare(a.Submit, b.Submit)
-		}
-		return strings.Compare(a.Job.ID, b.Job.ID)
-	})
+	sortByArrival(results, func(r *JobResult) *mapreduce.Result { return &r.Result })
 	return results, nil
+}
+
+// byArrival is the (Submit, Job.ID) order the replay drivers return results
+// in: a total order, since job IDs are unique.
+func byArrival(a, b *mapreduce.Result) int {
+	if a.Submit != b.Submit {
+		return cmp.Compare(a.Submit, b.Submit)
+	}
+	return strings.Compare(a.Job.ID, b.Job.ID)
+}
+
+// sortByArrival puts a driver's results in byArrival order. Each driver
+// writes a job's result at its trace index, so for a trace already in that
+// order (generated and file-read traces are) this is one in-place scan and
+// no sort; the scan compares through pointers, where slices.IsSortedFunc
+// would copy two result values per step.
+func sortByArrival[T any](rs []T, result func(*T) *mapreduce.Result) {
+	for i := 1; i < len(rs); i++ {
+		if byArrival(result(&rs[i-1]), result(&rs[i])) > 0 {
+			slices.SortFunc(rs, func(a, b T) int { return byArrival(result(&a), result(&b)) })
+			return
+		}
+	}
 }
 
 // healthProbe reports what the failure-aware reroute looked at, for the
@@ -461,7 +483,8 @@ func etaOn(sim *mapreduce.Simulator, job workload.Job, runner *sweep.Runner, fau
 // budget guards the kernel: an over-budget replay stops by panicking with a
 // *simclock.BudgetError, which callers convert into a typed per-point error
 // via sweep.Protect. A non-nil checker attaches the invariant layer to the
-// whole replay and the drain.
+// whole replay and the drain. It returns one result per job in (Submit,
+// Job.ID) order.
 func RunBaselineChecked(p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy, events []faults.Event, inj Inject, stats *ReplayStats, budget sweep.Budget, inv *mapreduce.InvariantChecker) ([]mapreduce.Result, error) {
 	rst := mapreduce.AcquireState()
 	defer mapreduce.ReleaseState(rst)
@@ -479,20 +502,32 @@ func RunBaselineChecked(p *mapreduce.Platform, jobs []workload.Job, policy mapre
 	if err := sim.ScheduleFaults(events); err != nil {
 		return nil, err
 	}
-	for _, j := range jobs {
-		sim.Submit(j.MapReduceJob())
+	// Each finished job's result is written at its trace index, which rides
+	// the submitted job's Tag; the hook resets Tag to the caller's zero, so
+	// nothing of the pooled simulator escapes and nothing is copied after.
+	rs := make([]mapreduce.Result, len(jobs))
+	filled := 0
+	sim.SetResultHook(func(r mapreduce.Result, _ time.Duration) {
+		idx := r.Job.Tag
+		r.Job.Tag = 0
+		rs[idx] = r
+		filled++
+	})
+	for i := range jobs {
+		mj := jobs[i].MapReduceJob()
+		mj.Tag = i
+		sim.Submit(mj)
 	}
-	// Copy the results out: the deferred release resets the simulator's
-	// internal buffer, which sim.Run returns a view of.
-	run := sim.Run()
+	// Run drains the engine and panics on jobs still in flight; with the
+	// hook set, its result view is empty.
+	sim.Run()
 	if inv != nil {
 		sim.CheckDrainedInvariants()
-		if len(run) != len(jobs) {
-			inv.Violate("job-conservation", "%s: %d jobs submitted, %d results", p.Name, len(jobs), len(run))
+		if filled != len(jobs) {
+			inv.Violate("job-conservation", "%s: %d jobs submitted, %d results", p.Name, len(jobs), filled)
 		}
 	}
-	rs := make([]mapreduce.Result, len(run))
-	copy(rs, run)
+	sortByArrival(rs, func(r *mapreduce.Result) *mapreduce.Result { return r })
 	if stats != nil {
 		stats.Events = sim.Engine().Events()
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hybridmr/internal/apps"
 	"hybridmr/internal/mapreduce"
@@ -112,12 +114,9 @@ func TestHybridErrorSurfaces(t *testing.T) {
 	}
 }
 
-// A warm replay of a generated day allocates a fixed handful of times,
-// independent of the trace length: the job-state and result arrays, the
-// hooks' shared cell, the two hook closures and the arrival cursor.
-// BenchmarkFig10's allocs/op gate rides on this path.
-func TestRunAllocBudget(t *testing.T) {
-	h := newHybridT(t)
+// budgetTrace is a generated tenth of the FB-2009 day: 600 jobs over 2.4 h.
+func budgetTrace(t *testing.T) []workload.Job {
+	t.Helper()
 	cfg := workload.DefaultConfig()
 	cfg.Jobs = 600
 	cfg.Duration = time.Duration(float64(24*time.Hour) * 600 / 6000)
@@ -125,6 +124,37 @@ func TestRunAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return jobs
+}
+
+// checkResultBytes holds a warm replay to one result array plus a quarter of
+// its size in per-job state, measured as the mean runtime.MemStats.TotalAlloc
+// delta over five runs. A second copy of the results (a post-drain copy, or
+// a pooled view copied out) breaks it.
+func checkResultBytes(t *testing.T, name string, n int, resultSize uintptr, run func()) {
+	t.Helper()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if budget := 1.25 * float64(n) * float64(resultSize); got > budget {
+		t.Errorf("warm %s allocates %.0f bytes per replay, budget %.0f (1.25 × %d jobs × %d-byte result)",
+			name, got, budget, n, resultSize)
+	}
+}
+
+// A warm replay of a generated day allocates a fixed handful of times,
+// independent of the trace length: the job-state and result arrays, the
+// hooks' shared cell, the two hook closures and the arrival cursor. Its
+// bytes are the result array plus the job-state array. BenchmarkFig10's
+// allocs/op gate rides on this path.
+func TestRunAllocBudget(t *testing.T) {
+	h := newHybridT(t)
+	jobs := budgetTrace(t)
 	// The pooled replay state's buffers reach their high-water marks over
 	// the first couple of replays.
 	for i := 0; i < 3; i++ {
@@ -133,6 +163,26 @@ func TestRunAllocBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(5, func() { h.Run(jobs) }); n > 8 {
 		t.Errorf("warm Hybrid.Run allocates %.0f times, budget 8", n)
 	}
+	checkResultBytes(t, "Hybrid.Run", len(jobs), unsafe.Sizeof(JobResult{}), func() { h.Run(jobs) })
+}
+
+// A warm baseline replay allocates the caller's result array and little
+// else: results are written in place, not copied out of the pooled
+// simulator.
+func TestRunBaselineAllocBudget(t *testing.T) {
+	th, err := mapreduce.NewTHadoop(mapreduce.DefaultCalibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := budgetTrace(t)
+	// The pooled job records' per-task buffers reach their high-water marks
+	// over the first dozen replays of one platform.
+	for i := 0; i < 20; i++ {
+		RunBaseline(th, jobs, mapreduce.Fair)
+	}
+	checkResultBytes(t, "RunBaseline", len(jobs), unsafe.Sizeof(mapreduce.Result{}), func() {
+		RunBaseline(th, jobs, mapreduce.Fair)
+	})
 }
 
 // RunBaseline executes all jobs on one platform.

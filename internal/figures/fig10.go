@@ -12,13 +12,13 @@ import (
 )
 
 // TraceResult bundles the §V trace experiment's outcome for reuse by the
-// figure, the CLI and the tests.
+// figure, the CLI and the tests. Every slice is indexed by trace position.
 type TraceResult struct {
 	Jobs []workload.Job
-	// UpClass marks job IDs Algorithm 1 routes to the scale-up cluster.
-	UpClass map[string]bool
+	// Up marks the jobs Algorithm 1 routes to the scale-up cluster.
+	Up []bool
 	// Hybrid, THadoop and RHadoop hold per-job execution seconds.
-	Hybrid, THadoop, RHadoop map[string]float64
+	Hybrid, THadoop, RHadoop []float64
 }
 
 // RunTrace executes the trace experiment: the workload on the hybrid and on
@@ -34,74 +34,73 @@ func RunTrace(cal mapreduce.Calibration, cfg workload.Config) (*TraceResult, err
 		return nil, err
 	}
 	jobs, hybrid := setup.Jobs, setup.Hybrid
-	upJobs, _ := hybrid.Sched.Classify(jobs)
-	tr := &TraceResult{
-		Jobs:    jobs,
-		UpClass: make(map[string]bool, len(upJobs)),
-		Hybrid:  make(map[string]float64, len(jobs)),
-		THadoop: make(map[string]float64, len(jobs)),
-		RHadoop: make(map[string]float64, len(jobs)),
+	tr := &TraceResult{Jobs: jobs, Up: make([]bool, len(jobs))}
+	for i := range jobs {
+		tr.Up[i] = hybrid.Sched.Decide(jobs[i]) == core.ScaleUp
 	}
-	for _, j := range upJobs {
-		tr.UpClass[j.ID] = true
+	// Each replay returns an accessor to its i-th result, from which its
+	// column is filled in trace order.
+	type results = func(i int) *mapreduce.Result
+	baseline := func(p *mapreduce.Platform) func() results {
+		return func() results {
+			rs := core.RunBaseline(p, jobs, mapreduce.Fair)
+			return func(i int) *mapreduce.Result { return &rs[i] }
+		}
 	}
-	type replay struct {
+	replays := []struct {
 		name string
-		into map[string]float64
-		run  func() ([]mapreduce.Result, error)
-	}
-	baseline := func(p *mapreduce.Platform) func() ([]mapreduce.Result, error) {
-		return func() ([]mapreduce.Result, error) {
-			return core.RunBaseline(p, jobs, mapreduce.Fair), nil
-		}
-	}
-	replays := []replay{
-		{"hybrid", tr.Hybrid, func() ([]mapreduce.Result, error) {
+		into *[]float64
+		run  func() results
+	}{
+		{"hybrid", &tr.Hybrid, func() results {
 			rs := hybrid.Run(jobs)
-			out := make([]mapreduce.Result, len(rs))
-			for i, r := range rs {
-				out[i] = r.Result
-			}
-			return out, nil
+			return func(i int) *mapreduce.Result { return &rs[i].Result }
 		}},
-		{"THadoop", tr.THadoop, baseline(setup.THadoop)},
-		{"RHadoop", tr.RHadoop, baseline(setup.RHadoop)},
+		{"THadoop", &tr.THadoop, baseline(setup.THadoop)},
+		{"RHadoop", &tr.RHadoop, baseline(setup.RHadoop)},
 	}
-	type outcome struct {
-		results []mapreduce.Result
-		err     error
-	}
-	outs := sweep.Map(sweep.Default().Workers(), len(replays), func(i int) outcome {
-		rs, err := replays[i].run()
-		return outcome{results: rs, err: err}
+	errs := sweep.Map(sweep.Default().Workers(), len(replays), func(i int) (err error) {
+		*replays[i].into, err = ExecSeconds(jobs, replays[i].run())
+		return err
 	})
-	for i, o := range outs {
-		if o.err != nil {
-			return nil, fmt.Errorf("figures: %s: %w", replays[i].name, o.err)
-		}
-		for _, r := range o.results {
-			if r.Err != nil {
-				return nil, fmt.Errorf("figures: %s job %s: %w", replays[i].name, r.Job.ID, r.Err)
-			}
-			replays[i].into[r.Job.ID] = r.Exec.Seconds()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("figures: %s %w", replays[i].name, err)
 		}
 	}
 	return tr, nil
 }
 
-// ClassCDF builds the execution-time CDF of one architecture's results for
-// one job class.
-func (tr *TraceResult) ClassCDF(exec map[string]float64, upClass bool) *stats.CDF {
-	// Iterate the trace's job order, not the exec map: CDF.Mean folds samples
-	// in insertion order, so a map-ordered fill would leak iteration-order
-	// noise into the unrounded mean (quantiles sort and were never affected).
-	c := stats.NewCDF(nil)
-	for _, j := range tr.Jobs {
-		e, ok := exec[j.ID]
-		if !ok || tr.UpClass[j.ID] != upClass {
-			continue
+// ExecSeconds returns one replay's per-job execution seconds by trace
+// position. result(i) is the replay's i-th result, which must be jobs[i]'s
+// and must have succeeded. The replay drivers return results in trace order
+// for a trace sorted by Submit, then ID, as generated and file-read traces
+// are.
+func ExecSeconds(jobs []workload.Job, result func(i int) *mapreduce.Result) ([]float64, error) {
+	exec := make([]float64, len(jobs))
+	for i := range jobs {
+		r := result(i)
+		if r.Err != nil {
+			return nil, fmt.Errorf("job %s: %w", r.Job.ID, r.Err)
 		}
-		c.Add(e)
+		if r.Job.ID != jobs[i].ID {
+			return nil, fmt.Errorf("result %d is job %q, want %s", i, r.Job.ID, jobs[i].ID)
+		}
+		exec[i] = r.Exec.Seconds()
+	}
+	return exec, nil
+}
+
+// ClassCDF builds the execution-time CDF of one architecture's per-job
+// seconds (tr.Hybrid, tr.THadoop or tr.RHadoop) for one job class.
+func (tr *TraceResult) ClassCDF(exec []float64, up bool) *stats.CDF {
+	// Trace order: CDF.Mean folds samples in insertion order, so the
+	// unrounded mean is the same on every run.
+	c := stats.NewCDF(nil)
+	for i, u := range tr.Up {
+		if u == up {
+			c.Add(exec[i])
+		}
 	}
 	return c
 }
@@ -118,7 +117,7 @@ func Fig10(cal mapreduce.Calibration, cfg workload.Config) (textplot.Figure, err
 		var notes []string
 		for _, arch := range []struct {
 			name string
-			exec map[string]float64
+			exec []float64
 		}{
 			{"Hybrid", tr.Hybrid},
 			{"THadoop", tr.THadoop},

@@ -471,7 +471,8 @@ func (s *Simulator) MachinesDown() int { return s.machinesDown }
 func (s *Simulator) StorageDown() int { return s.storageDown }
 
 // SetResultHook diverts every finished job's result to fn (with the
-// completion instant) instead of the internal results list; the hybrid's
-// failure-aware scheduler uses it to retry failed jobs in simulated time.
-// Call before Run. With a hook set, Results returns nothing.
+// completion instant) instead of the internal results list. The replay
+// drivers in core use it to write each result at its job's trace index, and
+// the hybrid's failure-aware scheduler to retry failed jobs in simulated
+// time. Call before Run. With a hook set, Results returns nothing.
 func (s *Simulator) SetResultHook(fn func(Result, time.Duration)) { s.onResult = fn }
