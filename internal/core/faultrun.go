@@ -51,6 +51,10 @@ func (in Inject) Apply(sim *mapreduce.Simulator) error {
 type ReplayStats struct {
 	// Events is the number of events the simulation kernel executed.
 	Events uint64
+	// Timers is the number of those events that were kernel timers popped
+	// from the pending set. Events - Timers task completions rode the timer
+	// of a batch of same-instant attempts of one job.
+	Timers uint64
 }
 
 // FaultRun configures a trace replay under a fault schedule.
@@ -369,7 +373,7 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 	scheduleArrivals(eng, jobs, submit)
 	eng.Run()
 	if opt.Stats != nil {
-		opt.Stats.Events = eng.Events()
+		opt.Stats.Events, opt.Stats.Timers = eng.Events(), eng.Timers()
 	}
 	results := acc.results
 	if inv != nil {
@@ -529,7 +533,7 @@ func RunBaselineChecked(p *mapreduce.Platform, jobs []workload.Job, policy mapre
 	}
 	sortByArrival(rs, func(r *mapreduce.Result) *mapreduce.Result { return r })
 	if stats != nil {
-		stats.Events = sim.Engine().Events()
+		stats.Events, stats.Timers = sim.Engine().Events(), sim.Engine().Timers()
 	}
 	return rs, nil
 }

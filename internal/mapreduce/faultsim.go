@@ -25,14 +25,21 @@ import (
 // level at its submission instant, so capacity loss mid-job shows up as
 // narrower waves, not re-planned task times.
 
-// attempt tracks one in-flight task attempt so a machine crash can kill it:
-// the slot dies with the machine and the completion callback must not fire.
-// idx is the attempt's position in Simulator.inflight (swap-remove
-// back-pointer); seq is the global start order, which killAttempts uses to
-// select the newest attempts deterministically now that swap-remove no
-// longer keeps the slice chronologically ordered. fireFn is the bound fire
-// method, created once per attempt object and reused across recycles, so a
-// task start schedules its completion without allocating a closure.
+// attempt tracks one in-flight batch of task attempts so a machine crash can
+// kill them: the slots die with the machine and the completions must not
+// fire. A batch is n consecutive tasks of one job and kind that complete at
+// one instant — task IDs taskID, taskID-1, …, taskID-n+1, the order popTask
+// issued them — driven by one engine timer (armAttempt); most records are
+// batches of one. idx is the record's position in Simulator.inflight
+// (swap-remove back-pointer); seq is the global start order of its first
+// member (member i started as seq+i), which killAttempts uses to select the
+// newest attempts deterministically now that swap-remove no longer keeps the
+// slice chronologically ordered. armed counts the members the timer was
+// armed for: a crash kill shrinks n, and the killed members still count as
+// executed events when the timer fires, as their own timers would have.
+// fireFn is the bound fire method, created once per attempt object and
+// reused across recycles, so a task start schedules its completion without
+// allocating a closure.
 //
 // Attempts are pooled through Simulator.attemptFree; addAttempt must
 // re-initialize every field when it hands a recycled record out.
@@ -42,6 +49,8 @@ type attempt struct {
 	sim    *Simulator
 	run    *jobRun
 	taskID int
+	n      int
+	armed  int
 	isMap  bool
 	killed bool
 	seq    uint64
@@ -56,7 +65,9 @@ type attempt struct {
 	// a completed attempt whose stale timers are still draining; slow is
 	// the slowdown the current fireAt was computed under; partner links a
 	// speculative clone with its original (first finisher wins, the loser
-	// is killed); isClone marks the speculative copy.
+	// is killed); isClone marks the speculative copy. A simulator that can
+	// see a cpu or disk window arms only batches of one, so everything in
+	// this group acts on single attempts.
 	fireAt  time.Duration
 	timers  int
 	done    bool
@@ -68,9 +79,12 @@ type attempt struct {
 // fire is the attempt's completion event. A killed or superseded attempt
 // only drains its stale timers here; a live attempt whose completion moved
 // later (a slowdown window opened) re-arms; otherwise the attempt completes,
-// kills its speculation partner if it still runs, and dispatches the task
-// completion. The attempt recycles when its last timer has fired — that
-// timer's callback is the last reader.
+// kills its speculation partner if it still runs, and dispatches each live
+// member's completion in start order. Every member after the first counts
+// as one more engine event (Tick) — as do the crash-killed members after
+// the live ones — exactly where its own timer would have fired. The record
+// recycles when its last timer has fired and its members have run — that
+// callback is the last reader.
 //
 //simlint:hotpath
 func (att *attempt) fire(now time.Duration) {
@@ -78,6 +92,9 @@ func (att *attempt) fire(now time.Duration) {
 	att.timers--
 	if att.killed || att.done {
 		if att.timers == 0 {
+			for i := 1; i < att.armed; i++ {
+				s.eng.Tick()
+			}
 			s.recycleAttempt(att)
 		}
 		return
@@ -92,21 +109,32 @@ func (att *attempt) fire(now time.Duration) {
 	}
 	att.done = true
 	s.removeAttempt(att)
-	run, taskID, isMap := att.run, att.taskID, att.isMap
+	if s.batch == att {
+		s.batch = nil
+	}
 	if att.partner != nil {
 		s.loseSpeculation(att, now)
+	}
+	run, taskID, isMap := att.run, att.taskID, att.isMap
+	for i := 0; i < att.n; i++ {
+		if i > 0 {
+			s.eng.Tick()
+		}
+		if isMap {
+			s.mapTaskDone(run, taskID-i, now)
+		} else {
+			s.redTaskDone(run, taskID-i, now)
+		}
+	}
+	for i := att.n; i < att.armed; i++ {
+		s.eng.Tick()
 	}
 	if att.timers == 0 {
 		s.recycleAttempt(att)
 	}
-	if isMap {
-		s.mapTaskDone(run, taskID, now)
-	} else {
-		s.redTaskDone(run, taskID, now)
-	}
 }
 
-// addAttempt registers a starting task attempt in the in-flight index,
+// addAttempt registers a starting attempt record in the in-flight index,
 // reusing a recycled attempt when one is free so steady-state task traffic
 // does not allocate per attempt.
 //
@@ -123,11 +151,51 @@ func (s *Simulator) addAttempt(run *jobRun, taskID int, isMap bool) *attempt {
 	}
 	s.attemptSeq++
 	att.sim, att.run, att.taskID, att.isMap, att.killed = s, run, taskID, isMap, false
+	att.n, att.armed = 1, 1
 	att.fireAt, att.timers, att.done, att.slow, att.partner, att.isClone = 0, 0, false, 1, nil, false
 	att.seq, att.idx = s.attemptSeq, len(s.inflight)
 	s.inflight = append(s.inflight, att)
 	return att
 }
+
+// armAttempt starts task taskID of run: it completes d from now, stretched
+// by the current gray slowdown. The task joins the open batch — the record
+// the simulator's previous task start armed — when it is the batch's next
+// member: same run and kind, same completion instant and slowdown, the
+// next task ID down, and no event scheduled on the engine since the
+// batch's timer. It would then have been the next (at, seq) timer after
+// the batch's last member, so nothing can run between them and the batch
+// fires it in place. Otherwise it gets its own record and timer, which
+// opens a new batch unless the simulator arms only batches of one.
+//
+//simlint:hotpath
+func (s *Simulator) armAttempt(run *jobRun, taskID int, isMap bool, d, now time.Duration) {
+	slow := s.graySlow()
+	if slow != 1 {
+		d = time.Duration(float64(d) * slow)
+	}
+	at := now + d
+	if b := s.batch; b != nil && b.run == run && b.isMap == isMap && b.fireAt == at &&
+		b.slow == slow && taskID == b.taskID-b.n && s.eng.Seq() == s.batchSeq {
+		b.n++
+		b.armed++
+		s.attemptSeq++
+		return
+	}
+	att := s.addAttempt(run, taskID, isMap)
+	att.slow = slow
+	att.fireAt = at
+	att.timers = 1
+	s.eng.At(at, att.fireFn)
+	if !s.single && !forceSingleAttempts {
+		s.batch, s.batchSeq = att, s.eng.Seq()
+	}
+}
+
+// forceSingleAttempts, when set, makes every simulator arm only batches of
+// one — the unbatched replay the batching equivalence tests compare
+// against. Tests only; set it before any replay starts.
+var forceSingleAttempts bool
 
 // removeAttempt drops a finished attempt from the in-flight index in O(1)
 // via its back-pointer (the former implementation scanned the whole list on
@@ -235,6 +303,11 @@ func (s *Simulator) ScheduleFaults(events []faults.Event) error {
 	for _, ev := range relevant {
 		ev := ev
 		s.eng.At(ev.At, func(now time.Duration) { s.applyFault(ev, now) })
+		if ev.Kind == faults.CPUSlow || ev.Kind == faults.DiskSlow {
+			// rescaleAttempts re-times attempts one by one in inflight
+			// order, which batching does not preserve.
+			s.single = true
+		}
 	}
 	return nil
 }
@@ -308,26 +381,43 @@ func (s *Simulator) crashMachines(k int, now time.Duration) {
 
 // killAttempts kills up to n in-flight attempts of one kind, newest first,
 // re-queuing each task on its job, and returns how many died. Newest-first
-// is by attempt start order (attempt.seq): the same selection the
-// pre-indexed implementation made by walking the chronologically ordered
-// in-flight slice from the back, so faulted replays are byte-identical.
+// is by attempt start order (member i of a batch started as attempt.seq+i):
+// the same selection the pre-indexed implementation made by walking the
+// chronologically ordered in-flight slice from the back, so faulted replays
+// are byte-identical. A batch's members are consecutive in that order, so
+// the selection takes a suffix of each batch: a partly killed batch shrinks
+// its live count and fires the rest, a fully killed one is marked killed.
 func (s *Simulator) killAttempts(isMap bool, n int, now time.Duration) int {
 	if n <= 0 {
 		return 0
 	}
-	victims := make([]*attempt, 0, n)
+	// A crash ends the open batch: a re-queued task must not rejoin it.
+	s.batch = nil
+	type victim struct {
+		att *attempt
+		i   int // member index
+	}
+	victims := make([]victim, 0, n)
 	for _, att := range s.inflight {
 		if att.isMap == isMap {
-			victims = append(victims, att)
+			for i := 0; i < att.n; i++ {
+				victims = append(victims, victim{att, i})
+			}
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq > victims[j].seq })
+	sort.Slice(victims, func(i, j int) bool {
+		return victims[i].att.seq+uint64(victims[i].i) > victims[j].att.seq+uint64(victims[j].i)
+	})
 	if n < len(victims) {
 		victims = victims[:n]
 	}
-	for _, att := range victims {
-		att.killed = true
-		s.removeAttempt(att)
+	for _, v := range victims {
+		att, taskID := v.att, v.att.taskID-v.i
+		att.n = v.i
+		if v.i == 0 {
+			att.killed = true
+			s.removeAttempt(att)
+		}
 		// A speculation pair losing one side keeps the survivor on the
 		// task, so the kill must not re-queue it; if both die in the same
 		// crash, the first death unpairs and the second re-queues.
@@ -341,18 +431,18 @@ func (s *Simulator) killAttempts(isMap bool, n int, now time.Duration) int {
 			if !run.failed && !paired {
 				// A crash kill is Hadoop's KILLED, not FAILED: it
 				// does not count against the task's max attempts.
-				run.pushTask(kMap, att.taskID)
+				run.pushTask(kMap, taskID)
 				s.queuedMaps++
 				run.retries++
-				s.traceRetry(run, att.taskID, true, now, "killed")
+				s.traceRetry(run, taskID, true, now, "killed")
 			}
 			s.touch(kMap, run)
 		} else {
 			run.runningReds--
 			if !run.failed && !paired {
-				run.pushTask(kRed, att.taskID)
+				run.pushTask(kRed, taskID)
 				run.retries++
-				s.traceRetry(run, att.taskID, false, now, "killed")
+				s.traceRetry(run, taskID, false, now, "killed")
 			}
 			s.touch(kRed, run)
 		}

@@ -74,22 +74,6 @@ func (s *Simulator) SpeculationStats() (started, won int) {
 	return s.clonesStarted, s.clonesWon
 }
 
-// armAttempt schedules the attempt's completion, stretching the planned
-// duration by the current gray slowdown. With no window open this is exactly
-// the former eng.After(d) arming, so clean replays are byte-identical.
-//
-//simlint:hotpath
-func (s *Simulator) armAttempt(att *attempt, d, now time.Duration) {
-	slow := s.graySlow()
-	if slow != 1 {
-		d = time.Duration(float64(d) * slow)
-	}
-	att.slow = slow
-	att.fireAt = now + d
-	att.timers = 1
-	s.eng.At(att.fireAt, att.fireFn)
-}
-
 // grayWeight spreads a window covering count machines at the given factor
 // uniformly across the live pool. count 0 (or more than are live) covers
 // every machine.

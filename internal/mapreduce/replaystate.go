@@ -84,6 +84,7 @@ func (s *Simulator) recycle() {
 		s.inflight[i] = nil
 	}
 	s.inflight = s.inflight[:0]
+	s.batch, s.batchSeq, s.single = nil, 0, false
 	// Reclaim still-active runs, detaching them from the ready sets first so
 	// the intrusive linkage recycleJob relies on is clean.
 	for i, run := range s.active {

@@ -109,6 +109,14 @@ type Simulator struct {
 	attemptSeq   uint64
 	attemptFree  []*attempt
 
+	// Attempt batching (armAttempt): batch is the open batch the next task
+	// start may join, batchSeq the engine's Seq right after its timer was
+	// armed; single arms only batches of one (the fault schedule has a cpu
+	// or disk slowdown window).
+	batch    *attempt
+	batchSeq uint64
+	single   bool
+
 	// jobFree recycles jobRun records: a completed (or fully drained
 	// failed) job's run returns here and the next arrival reuses it, so
 	// steady-state job traffic allocates no per-job state (replaystate.go).
@@ -844,8 +852,7 @@ func (s *Simulator) startMapTask(run *jobRun, now time.Duration) {
 		run.startedMap = true
 		run.firstMapAt = now
 	}
-	att := s.addAttempt(run, taskID, true)
-	s.armAttempt(att, s.jitterDuration(run.pl.mapTask), now)
+	s.armAttempt(run, taskID, true, s.jitterDuration(run.pl.mapTask), now)
 }
 
 // mapTaskDone is a map attempt's completion: the slot frees, and the task
@@ -898,8 +905,7 @@ func (s *Simulator) startReduceTask(run *jobRun, now time.Duration) {
 	run.runningReds++
 	s.obsv.redsStarted.Inc()
 	s.touch(kRed, run)
-	att := s.addAttempt(run, taskID, false)
-	s.armAttempt(att, s.jitterDuration(run.pl.redTask), now)
+	s.armAttempt(run, taskID, false, s.jitterDuration(run.pl.redTask), now)
 }
 
 // redTaskDone is a reduce attempt's completion, mirroring mapTaskDone; the

@@ -72,6 +72,7 @@ type Engine struct {
 	tail [numStreams]time.Duration
 
 	ran   uint64
+	ticks uint64 // events counted by Tick, not popped from the pending set
 	watch *Watchdog
 }
 
@@ -195,11 +196,42 @@ func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
 	e.ran = 0
+	e.ticks = 0
 	e.watch = nil
 }
 
-// Events reports how many events have been executed so far.
+// Events reports how many events have been executed so far: timers popped
+// by Step plus events counted by Tick.
 func (e *Engine) Events() uint64 { return e.ran }
+
+// Timers reports how many of the executed events were timers popped from
+// the pending set; Events() - Timers() events rode an earlier timer (Tick).
+func (e *Engine) Timers() uint64 { return e.ran - e.ticks }
+
+// Seq reports the scheduling sequence counter: it advances by one on every
+// At (and After), so an unchanged Seq between two points means nothing was
+// scheduled in between. A caller that would schedule a run of events at
+// one instant with consecutive sequence numbers can use it to prove that
+// nothing could interleave with them, arm one timer, and run the rest with
+// Tick.
+func (e *Engine) Seq() uint64 { return e.seq }
+
+// Tick counts one more event executed at the current instant without
+// popping a timer: the watchdog is applied exactly as Step applies it, then
+// the event count advances. An event callback that runs several logical
+// events back to back — the members of a batch that would have been
+// consecutive (at, seq) timers — calls Tick before each member after the
+// first, so Events, MaxEvents and the Cancel poll keep counting per logical
+// event.
+//
+//simlint:hotpath
+func (e *Engine) Tick() {
+	if e.watch != nil {
+		e.guard(e.now)
+	}
+	e.ran++
+	e.ticks++
+}
 
 // Pending reports how many events are scheduled but not yet run.
 func (e *Engine) Pending() int {

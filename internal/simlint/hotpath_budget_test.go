@@ -31,6 +31,8 @@ var budgetCoverage = map[string]map[string][]string{
 			"Engine.siftUp", "Engine.siftDown", "Engine.nextAt",
 		},
 		"TestEngineAtSteadyStateAllocs": {"Engine.At"},
+		// A guarded Tick: the per-member event count of a batched timer.
+		"TestTickSeqAllocs": {"Engine.Tick"},
 	},
 	"../stats": {
 		"TestSamplerSteadyStateAllocs": {"RNG.Float64", "LogUniformVar.Sample"},
